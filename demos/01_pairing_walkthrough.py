@@ -5,12 +5,13 @@ measured pulses), then runs extraction, classification, marker location,
 and index pairing step by step, printing what each stage sees.
 """
 
+import numpy as np
+
 from pulsepair import (
     RunMetadata,
     classify_pulses,
     extract_pulses,
     gen_run,
-    locate_marker,
     pair_intervals,
     validate_marker_separation,
 )
@@ -27,27 +28,25 @@ meta = RunMetadata(
 )
 run = gen_run(Gaussian(mean_ms=1.228, sd_ms=0.021), meta, seed=42)
 
-print(f"software log: {len(run.log.rows)} rows, complete={run.log.complete}")
+print(f"software log: {run.log.iterations.size} rows, complete={run.log.complete}")
 print(f"external stream: {len(run.stream)} transitions")
 
 extraction = extract_pulses(run.stream)
-print(f"\nextracted {len(extraction.pulses)} pulses, {extraction.orphan_edges} orphan edges")
+widths = extraction.widths_ms
+print(f"\nextracted {widths.size} pulses, {extraction.orphan_edges} orphan edges")
 
-classified = classify_pulses(extraction.pulses, meta.marker_threshold_ms)
-markers = [p for p in classified if p.kind == "marker"]
-print(f"classified: {len(markers)} marker(s) at threshold {meta.marker_threshold_ms} ms")
+markers = classify_pulses(widths, meta.marker_threshold_ms)
+marker_at = np.flatnonzero(markers)
+print(f"classified: {marker_at.size} marker(s) at threshold {meta.marker_threshold_ms} ms")
+print(f"marker at pulse index {marker_at[0]}; {marker_at[0]} warmup pulses before it")
 
-loc = locate_marker(classified)
-print(f"marker at pulse index {loc.index}; {loc.pre_marker_pulses} warmup pulses before it")
-
-widths = [p.width_ms for p in classified if p.kind == "inference"]
-sep = validate_marker_separation(meta.marker_width_ms, widths)
+sep = validate_marker_separation(meta.marker_width_ms, widths[~markers])
 print(f"separation: marker {sep.marker_width_ms:.0f} ms vs max inference "
       f"{sep.inference_max_observed_ms:.3f} ms -> ratio {sep.margin_ratio:.1f} "
       f"({'pass' if sep.passed else 'FAIL'})")
 
-pairing = pair_intervals(run.log, classified)
-print(f"\npaired {len(pairing.pairs)} of {len(run.log.rows)} software rows")
+pairing = pair_intervals(run.log, widths, markers)
+print(f"\npaired {pairing.iterations.size} of {run.log.iterations.size} software rows")
 print("first three pairs (iteration, software ms, external ms):")
-for it, sw, ext in pairing.pairs[:3]:
+for it, sw, ext in zip(pairing.iterations[:3], pairing.software_ms[:3], pairing.external_ms[:3]):
     print(f"  {it:3d}  {sw:8.4f}  {ext:8.4f}   (delta {abs(ext - sw) * 1000:.1f} us)")

@@ -11,11 +11,8 @@ for the hardware so every analysis path is testable at desk scale.
 from .capture import (
     FormatError,
     IntegrityError,
-    Pulse,
-    PulseKind,
     RunMetadata,
     SoftwareTimingLog,
-    TransitionRecord,
     TransitionStream,
     dump_run_metadata,
     dump_software_log,
@@ -25,13 +22,11 @@ from .capture import (
     load_transition_stream,
 )
 from .pulses import (
-    MarkerLocation,
     MarkerSeparationCheck,
     PairingResult,
     PulseExtraction,
     classify_pulses,
     extract_pulses,
-    locate_marker,
     pair_intervals,
     validate_marker_separation,
 )

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from .capture import (
-    PulseKind,
     RunMetadata,
     SoftwareTimingLog,
     TransitionStream,
@@ -46,7 +46,7 @@ TRANSITIONS_CSV = "transitions.csv"
 METADATA_JSON = "metadata.json"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
     meta: RunMetadata
     report: DecouplingReport
@@ -55,7 +55,7 @@ class RunReport:
     orphan_edges: int
     software_summary: RunSummary | None
     external_summary: RunSummary | None
-    software_latencies: tuple[float, ...]
+    software_latencies: np.ndarray
     warnings: tuple[str, ...]
 
     @property
@@ -74,10 +74,10 @@ def analyze(
     """Run the full pipeline on in-memory inputs."""
     threshold = meta.marker_threshold_ms if marker_threshold_ms is None else marker_threshold_ms
     extraction = extract_pulses(stream)
-    classified = classify_pulses(extraction.pulses, threshold)
-    inference_widths = [p.width_ms for p in classified if p.kind == PulseKind.INFERENCE]
-    separation = validate_marker_separation(meta.marker_width_ms, inference_widths, min_margin)
-    pairing = pair_intervals(log, classified)
+    widths = extraction.widths_ms
+    markers = classify_pulses(widths, threshold)
+    separation = validate_marker_separation(meta.marker_width_ms, widths[~markers], min_margin)
+    pairing = pair_intervals(log, widths, markers)
     report = finalize_report(
         detect_decoupling(log, pairing, meta, transitions_recovered=len(stream),
                           separation=separation),
@@ -94,18 +94,18 @@ def analyze(
         warnings.append(f"{extraction.orphan_edges} orphan edge(s) at capture boundaries")
     if not log.complete:
         warnings.append(
-            f"software log incomplete: {len(log.rows)} of {log.iterations_expected} rows"
+            f"software log incomplete: {log.iterations.size} of {log.iterations_expected} rows"
         )
 
     software_summary = None
     external_summary = None
-    if report.validity in (ValidityClass.A, ValidityClass.B) and log.rows:
+    if report.validity in (ValidityClass.A, ValidityClass.B) and log.iterations.size:
         software_summary = run_summary(
             log.latencies_ms, run_id=meta.run_id, condition=meta.condition
         )
-    if report.validity is ValidityClass.A and pairing.pairs:
+    if report.validity is ValidityClass.A and pairing.external_ms.size:
         external_summary = run_summary(
-            [ext for _, _, ext in pairing.pairs], run_id=meta.run_id, condition=meta.condition
+            pairing.external_ms, run_id=meta.run_id, condition=meta.condition
         )
 
     return RunReport(
@@ -132,9 +132,7 @@ def analyze_run(
     log = load_software_log(
         run_dir / SOFTWARE_CSV, expected=meta.iterations_expected, run_id=meta.run_id
     )
-    stream = load_transition_stream(
-        run_dir / TRANSITIONS_CSV, sample_period=meta.sample_period_s
-    )
+    stream = load_transition_stream(run_dir / TRANSITIONS_CSV)
     return analyze(log, stream, meta, marker_threshold_ms=marker_threshold_ms,
                    min_margin=min_margin)
 
@@ -159,9 +157,9 @@ def run_report_to_dict(rr: RunReport) -> dict:
         "decoupling": report_to_dict(rr.report),
         "separation": separation_to_dict(rr.separation),
         "pairing": {
-            "pairs": len(rr.pairing.pairs),
-            "unmatched_software": len(rr.pairing.unmatched_software),
-            "unmatched_pulses": len(rr.pairing.unmatched_pulses),
+            "pairs": rr.pairing.iterations.size,
+            "unmatched_software": rr.pairing.unmatched_software,
+            "unmatched_pulses": rr.pairing.unmatched_pulses,
             "pre_marker_pulses": rr.pairing.pre_marker_pulses,
             "marker_found": rr.pairing.marker_found,
         },
@@ -193,7 +191,7 @@ def run_report_to_text(rr: RunReport) -> str:
             if rr.report.loss_fraction is not None
             else ""
         ),
-        f"  software rows: {len(rr.pairing.pairs) + len(rr.pairing.unmatched_software)}"
+        f"  software rows: {rr.pairing.iterations.size + rr.pairing.unmatched_software}"
         f" (complete: {rr.report.software_complete})",
         f"  transitions: {rr.report.transitions_recovered} recovered"
         f" / {rr.report.transitions_expected} expected (inference edges)",

@@ -5,18 +5,22 @@ logic-level transitions (what a logic analyzer exports) and the
 software-reported per-iteration latency log. Run metadata binds them
 together and carries the marker configuration.
 
+Both channels are held as columns. A transition stream is an array of
+edge times whose levels are implied by alternation; a software log is an
+array of iteration indices beside an array of latencies.
+
 Wire units are seconds for transition timestamps and milliseconds for
 latencies; all widths downstream are reported in milliseconds.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+
+import numpy as np
 
 TRANSITION_HEADER = "time_s,level"
 SOFTWARE_HEADER = "iteration,latency_ms"
@@ -37,88 +41,99 @@ class FormatError(ValueError):
 
 
 class IntegrityError(ValueError):
-    """Parsed data violates a stream/log invariant."""
+    """Parsed data violates a stream/log invariant.
 
-
-@dataclass(frozen=True)
-class TransitionRecord:
-    """One logic-level edge: the line settled at `level` at `time_s`."""
-
-    time_s: float
-    level: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.time_s) or self.time_s < 0:
-            raise IntegrityError(f"transition time must be finite and >= 0, got {self.time_s}")
-        if self.level not in (0, 1):
-            raise IntegrityError(f"level must be 0 or 1, got {self.level}")
-
-
-@dataclass(frozen=True)
-class TransitionStream:
-    """Ordered edge list from one external capture channel.
-
-    An empty stream is valid and meaningful: it is how a complete
-    acquisition failure presents. `initial_level` is the line state at
-    capture start; a stream whose first record is a falling edge implies
-    the line started high.
+    `row` is the 0-based index of the offending row. `malformed` marks a
+    value that is wrong on its own rather than against its neighbours; a
+    loader reports it as a FormatError, like a value it cannot parse.
     """
 
-    records: tuple[TransitionRecord, ...]
-    sample_period: float = DEFAULT_SAMPLE_PERIOD_S
+    def __init__(self, message: str, row: int | None = None, malformed: bool = False):
+        super().__init__(message)
+        self.row = row
+        self.malformed = malformed
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionStream:
+    """Ordered edge times, in seconds, from one external capture channel.
+
+    Levels are implied: the line starts at `initial_level` and every edge
+    flips it, so a stream whose first edge falls has `initial_level` 1.
+    An empty stream is valid and meaningful: it is how a complete
+    acquisition failure presents.
+    """
+
+    times_s: np.ndarray
     initial_level: int = 0
 
     def __post_init__(self) -> None:
-        if self.sample_period <= 0:
-            raise IntegrityError(f"sample_period must be positive, got {self.sample_period}")
+        times = np.ascontiguousarray(self.times_s, dtype=np.float64)
+        object.__setattr__(self, "times_s", times)
         if self.initial_level not in (0, 1):
             raise IntegrityError(f"initial_level must be 0 or 1, got {self.initial_level}")
-        prev_level = self.initial_level
-        prev_time = -math.inf
-        for i, rec in enumerate(self.records):
-            if rec.time_s <= prev_time:
-                raise IntegrityError(
-                    f"record {i}: time {rec.time_s} not strictly after {prev_time}"
-                )
-            if rec.level == prev_level:
-                raise IntegrityError(
-                    f"record {i}: repeated level {rec.level} (edges must alternate)"
-                )
-            prev_time = rec.time_s
-            prev_level = rec.level
+        bad = _first(~(np.isfinite(times) & (times >= 0)))
+        back = _first(np.diff(times, prepend=-np.inf) <= 0)
+        if bad is not None and (back is None or bad <= back):
+            raise IntegrityError(
+                f"transition time must be finite and >= 0, got {times[bad]}", bad, malformed=True
+            )
+        if back is not None:
+            raise IntegrityError(f"time {times[back]} not strictly after {times[back - 1]}", back)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.times_s.size
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The level each edge settles at."""
+        return (np.arange(self.times_s.size) + 1 + self.initial_level) % 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftwareTimingLog:
-    """Per-iteration software-reported latencies for one run."""
+    """Per-iteration software-reported latencies for one run, as two columns."""
 
     run_id: str
     iterations_expected: int
-    rows: tuple[tuple[int, float], ...]
+    iterations: np.ndarray
+    latencies_ms: np.ndarray
 
     def __post_init__(self) -> None:
-        prev_idx = -1
-        for iteration, latency in self.rows:
-            if iteration <= prev_idx:
-                raise IntegrityError(
-                    f"iteration index {iteration} not strictly ascending (after {prev_idx})"
-                )
-            if not math.isfinite(latency) or latency <= 0:
-                raise IntegrityError(
-                    f"iteration {iteration}: latency must be positive finite, got {latency}"
-                )
-            prev_idx = iteration
+        its = np.ascontiguousarray(self.iterations, dtype=np.int64)
+        lats = np.ascontiguousarray(self.latencies_ms, dtype=np.float64)
+        object.__setattr__(self, "iterations", its)
+        object.__setattr__(self, "latencies_ms", lats)
+        if its.shape != lats.shape:
+            raise IntegrityError(f"{its.size} iteration indices for {lats.size} latencies")
+        back = _first(np.diff(its, prepend=-1) <= 0)
+        bad = _first(~(np.isfinite(lats) & (lats > 0)))
+        if back is not None and (bad is None or back <= bad):
+            if np.any(its[:back] == its[back]):
+                raise IntegrityError(f"duplicate iteration index {its[back]}", back, malformed=True)
+            prev = its[back - 1] if back else -1
+            raise IntegrityError(
+                f"iteration index {its[back]} not strictly ascending (after {prev})", back
+            )
+        if bad is not None:
+            raise IntegrityError(
+                f"iteration {its[bad]}: latency must be positive finite, got {lats[bad]}",
+                bad, malformed=True,
+            )
 
     @property
     def complete(self) -> bool:
-        return len(self.rows) == self.iterations_expected
+        return self.iterations.size == self.iterations_expected
 
     @property
-    def latencies_ms(self) -> tuple[float, ...]:
-        return tuple(latency for _, latency in self.rows)
+    def rows(self) -> np.ndarray:
+        """One (iteration, latency_ms) row per logged iteration."""
+        return np.column_stack((self.iterations, self.latencies_ms))
 
 
 @dataclass(frozen=True)
@@ -150,42 +165,95 @@ class RunMetadata:
             raise IntegrityError("warmup_iterations must be >= 0")
         if self.iterations_expected <= 0:
             raise IntegrityError("iterations_expected must be positive")
+        if not self.sample_period_s > 0:
+            raise IntegrityError(f"sample_period_s must be positive, got {self.sample_period_s}")
 
 
-class PulseKind:
-    MARKER = "marker"
-    INFERENCE = "inference"
-    UNCLASSIFIED = "unclassified"
+# ---------------------------------------------------------------------------
+# Two-column CSV files
+
+#: (dtype, what a cell that does not parse is called) per column.
+_TRANSITION_COLUMNS = ((np.float64, "bad time value"), (np.int64, "level must be 0 or 1, got"))
+_SOFTWARE_COLUMNS = ((np.int64, "bad iteration index"), (np.float64, "bad latency value"))
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """One rising-to-falling interval on the observed line.
+def _read_csv(path: Path, header: str, columns) -> np.ndarray:
+    """The rows of a two-column CSV as a structured array, one field per header name.
 
-    `kind` is assigned only by the classifier; extraction always emits
-    unclassified pulses.
+    Empty lines are skipped; a header-only file yields no rows.
     """
+    dtype = [(name, t) for name, (t, _) in zip(header.split(","), columns)]
+    with path.open() as fh:
+        first = fh.readline().rstrip("\n")
+        if first != header:
+            raise FormatError(f"{path}:1: expected header '{header}', got {first!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _unparsable(path, columns, exc) from None
 
-    start_s: float
-    end_s: float
-    kind: str = PulseKind.UNCLASSIFIED
 
-    def __post_init__(self) -> None:
-        if self.end_s <= self.start_s:
-            raise IntegrityError(f"pulse end {self.end_s} must be after start {self.start_s}")
+def _data_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Each data row's text and 1-based line number, skipping empty lines as np.loadtxt does."""
+    lines = np.array(path.read_text().split("\n"), dtype=str)
+    lineno = np.flatnonzero(np.char.str_len(lines) > 0)[1:] + 1
+    return lines[lineno - 1], lineno
 
-    @property
-    def width_ms(self) -> float:
-        return (self.end_s - self.start_s) * 1e3
+
+def _first_unconvertible(cells: np.ndarray, dtype) -> int | None:
+    """Index of the first cell that does not convert to dtype, found by bisection."""
+    try:
+        cells.astype(dtype)
+        return None
+    except ValueError:
+        pass
+    lo, hi = 0, cells.size  # cells[lo:hi] holds the first bad cell
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            cells[lo:mid].astype(dtype)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def _unparsable(path: Path, columns, exc: ValueError) -> FormatError:
+    """Name the first line np.loadtxt could not parse, and what is wrong with it."""
+    rows, lineno = _data_lines(path)
+    fields = np.char.count(rows, ",") + 1
+    bad = _first(fields != 2)
+    if bad is not None:
+        return FormatError(f"{path}:{lineno[bad]}: expected 2 fields, got {fields[bad]}")
+    cells = np.char.partition(rows, ",")[:, ::2]
+    found = [(row, col) for col, (dtype, _) in enumerate(columns)
+             if (row := _first_unconvertible(cells[:, col], dtype)) is not None]
+    if not found:
+        return FormatError(f"{path}: {exc}")
+    row, col = min(found)
+    return FormatError(f"{path}:{lineno[row]}: {columns[col][1]} {str(cells[row, col])!r}")
+
+
+def _located(path: Path, exc: IntegrityError) -> ValueError:
+    """The loader's form of a validator error: prefixed by file and line."""
+    cls = FormatError if exc.malformed else IntegrityError
+    return cls(f"{path}:{_data_lines(path)[1][exc.row]}: {exc}")
+
+
+def _write_csv(path: str | Path, header: str, fmt: str, *columns: np.ndarray) -> None:
+    """Write the header, then one line per row of `columns`, formatted with `fmt`."""
+    cells = np.column_stack(columns).ravel().tolist()
+    with Path(path).open("w", newline="") as fh:
+        fh.write(header + "\n" + (fmt * columns[0].size) % tuple(cells))
 
 
 # ---------------------------------------------------------------------------
 # Transition CSV
 
 
-def load_transition_stream(
-    path: str | Path, sample_period: float = DEFAULT_SAMPLE_PERIOD_S
-) -> TransitionStream:
+def load_transition_stream(path: str | Path) -> TransitionStream:
     """Read a `time_s,level` digital-export CSV into a TransitionStream.
 
     A header-only file yields an empty stream (that outcome is data, not
@@ -193,44 +261,25 @@ def load_transition_stream(
     non-monotone times or repeated levels raise IntegrityError.
     """
     path = Path(path)
-    records: list[TransitionRecord] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or ",".join(header) != TRANSITION_HEADER:
-            raise FormatError(f"{path}:1: expected header '{TRANSITION_HEADER}', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                time_s = float(row[0])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad time value {row[0]!r}") from None
-            if row[1] not in ("0", "1"):
-                raise FormatError(f"{path}:{lineno}: level must be 0 or 1, got {row[1]!r}")
-            try:
-                records.append(TransitionRecord(time_s=time_s, level=int(row[1])))
-            except IntegrityError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-
-    initial_level = 0
-    if records and records[0].level == 0:
-        # First edge is a falling edge: the line was high at capture start.
-        initial_level = 1
-    return TransitionStream(
-        records=tuple(records), sample_period=sample_period, initial_level=initial_level
-    )
+    rows = _read_csv(path, TRANSITION_HEADER, _TRANSITION_COLUMNS)
+    levels = rows["level"]
+    try:
+        bad = _first((levels != 0) & (levels != 1))
+        if bad is not None:
+            raise IntegrityError(f"level must be 0 or 1, got {levels[bad]}", bad, malformed=True)
+        repeat = _first(np.diff(levels, prepend=-1) == 0)
+        if repeat is not None:
+            raise IntegrityError(f"repeated level {levels[repeat]} (edges must alternate)", repeat)
+        # A first edge that falls means the line was high at capture start.
+        initial_level = 1 - int(levels[0]) if levels.size else 0
+        return TransitionStream(rows["time_s"], initial_level)
+    except IntegrityError as exc:
+        raise _located(path, exc) from None
 
 
 def dump_transition_stream(stream: TransitionStream, path: str | Path) -> None:
     """Write the canonical transition CSV (9 decimal digits of seconds)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(TRANSITION_HEADER + "\n")
-        for rec in stream.records:
-            fh.write(f"{rec.time_s:.9f},{rec.level}\n")
+    _write_csv(path, TRANSITION_HEADER, "%.9f,%d\n", stream.times_s, stream.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -244,48 +293,21 @@ def load_software_log(path: str | Path, expected: int, run_id: str | None = None
     loads fine and reports complete=False.
     """
     path = Path(path)
-    rows: list[tuple[int, float]] = []
-    seen: set[int] = set()
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or ",".join(header) != SOFTWARE_HEADER:
-            raise FormatError(f"{path}:1: expected header '{SOFTWARE_HEADER}', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                iteration = int(row[0])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad iteration index {row[0]!r}") from None
-            try:
-                latency = float(row[1])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad latency value {row[1]!r}") from None
-            if iteration in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate iteration index {iteration}")
-            if not math.isfinite(latency) or latency <= 0:
-                raise FormatError(
-                    f"{path}:{lineno}: latency must be positive finite, got {row[1]!r}"
-                )
-            seen.add(iteration)
-            rows.append((iteration, latency))
-    return SoftwareTimingLog(
-        run_id=run_id if run_id is not None else path.stem,
-        iterations_expected=expected,
-        rows=tuple(rows),
-    )
+    rows = _read_csv(path, SOFTWARE_HEADER, _SOFTWARE_COLUMNS)
+    try:
+        return SoftwareTimingLog(
+            run_id=run_id if run_id is not None else path.stem,
+            iterations_expected=expected,
+            iterations=rows["iteration"],
+            latencies_ms=rows["latency_ms"],
+        )
+    except IntegrityError as exc:
+        raise _located(path, exc) from None
 
 
 def dump_software_log(log: SoftwareTimingLog, path: str | Path) -> None:
     """Write the canonical software timing CSV (6 decimal digits of ms)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(SOFTWARE_HEADER + "\n")
-        for iteration, latency in log.rows:
-            fh.write(f"{iteration},{latency:.6f}\n")
+    _write_csv(path, SOFTWARE_HEADER, "%d,%.6f\n", log.iterations, log.latencies_ms)
 
 
 # ---------------------------------------------------------------------------

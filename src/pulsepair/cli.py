@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .analysis import RunReport, analyze_run, run_report_to_dict, run_report_to_json, run_report_to_text
 from .capture import FormatError, IntegrityError
 from .presets import PRESETS, build_preset, load_scenario
@@ -27,7 +29,6 @@ from .stats import (
     ecdf,
     ecdf_to_csv,
     format_condition_table,
-    run_summary_to_dict,
 )
 from .synth import write_run_dir
 from .validity import ValidityClass
@@ -144,9 +145,11 @@ def cmd_condition(args: argparse.Namespace) -> int:
         payload["external_view"]["summary"] = condition_summary_to_dict(ext_cond)
         table_sections.append("External timing (class A runs only)\n"
                               + format_condition_table([ext_cond]))
-        pooled = [w for r in external_runs for _, _, w in r.pairing.pairs]
+        pooled = np.concatenate([r.pairing.external_ms for r in external_runs])
         ecdf_to_csv(ecdf(pooled), args.out / "external_ecdf.csv")
     else:
+        # A reused --out directory must not keep a curve this corpus cannot support.
+        (args.out / "external_ecdf.csv").unlink(missing_ok=True)
         payload["no_defensible_external_claims"] = True
         payload["warnings"].append(
             "no class-A runs: aggregate external timing claims are not defensible "
@@ -161,9 +164,10 @@ def cmd_condition(args: argparse.Namespace) -> int:
         payload["software_only_view"]["summary"] = condition_summary_to_dict(sw_cond)
         table_sections.append("Software-reported timing (class A and B runs)\n"
                               + format_condition_table([sw_cond]))
-        pooled_lat = [lat for r in software_runs for lat in r.software_latencies]
+        pooled_lat = np.concatenate([r.software_latencies for r in software_runs])
         ecdf_to_csv(ecdf(pooled_lat), args.out / "software_ecdf.csv")
     else:
+        (args.out / "software_ecdf.csv").unlink(missing_ok=True)
         payload["warnings"].append("no class-A or class-B runs: no software-only claims")
 
     if baseline_reports is not None:

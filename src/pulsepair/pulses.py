@@ -8,41 +8,38 @@ row. There is no clock alignment; the marker is a one-time anchor.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
-from .capture import Pulse, PulseKind, SoftwareTimingLog, TransitionStream
+import numpy as np
+
+from .capture import SoftwareTimingLog, TransitionStream
 
 DEFAULT_MIN_MARGIN = 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseExtraction:
-    """Extraction output: pulses in time order plus the orphan-edge count.
+    """Extraction output: pulse start and end times plus the orphan-edge count.
 
     Orphans (a leading falling edge or trailing rising edge) are half
     pulses cut off by the capture window. They are counted, never silently
     dropped, because edge conservation feeds the validity classifier:
-    edges consumed == 2 * len(pulses) + orphan_edges.
+    edges consumed == 2 * pulses + orphan_edges.
     """
 
-    pulses: tuple[Pulse, ...]
+    starts_s: np.ndarray
+    ends_s: np.ndarray
     orphan_edges: int
 
-
-@dataclass(frozen=True)
-class MarkerLocation:
-    found: bool
-    index: int | None
-    pre_marker_pulses: int
-    extra_marker_indices: tuple[int, ...] = ()
+    @property
+    def widths_ms(self) -> np.ndarray:
+        return (self.ends_s - self.starts_s) * 1e3
 
     @property
-    def ambiguous(self) -> bool:
-        return len(self.extra_marker_indices) > 0
+    def pulses(self) -> np.ndarray:
+        """One (start_s, end_s) row per pulse."""
+        return np.column_stack((self.starts_s, self.ends_s))
 
 
 @dataclass(frozen=True)
@@ -56,76 +53,63 @@ class MarkerSeparationCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairingResult:
-    pairs: tuple[tuple[int, float, float], ...]  # (iteration, software_ms, external_ms)
-    unmatched_software: tuple[int, ...]
-    unmatched_pulses: tuple[Pulse, ...]
+    """Software rows paired by index with post-marker inference pulses.
+
+    Pair k is (iterations[k], software_ms[k], external_ms[k]).
+    `inference_pulses` counts every post-marker inference pulse the
+    capture holds, paired or not; the unmatched fields are counts.
+    """
+
+    iterations: np.ndarray
+    software_ms: np.ndarray
+    external_ms: np.ndarray
+    unmatched_software: int
+    unmatched_pulses: int
+    inference_pulses: int
     marker_found: bool
     pre_marker_pulses: int
     warnings: tuple[str, ...] = ()
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """One (iteration, software_ms, external_ms) row per pair."""
+        return np.column_stack((self.iterations, self.software_ms, self.external_ms))
 
 
 def extract_pulses(stream: TransitionStream) -> PulseExtraction:
     """Pair each rising edge with the next falling edge.
 
-    Output pulses are all unclassified. Degenerate streams (empty, single
-    edge) yield an empty pulse list; they are data, not errors.
+    Degenerate streams (empty, single edge) yield no pulses; they are
+    data, not errors.
     """
-    pulses: list[Pulse] = []
-    orphans = 0
-    records = stream.records
-    i = 0
-    if records and records[0].level == 0:
-        # Line was high at capture start; the leading falling edge closes
-        # a pulse whose rise we never saw.
-        orphans += 1
-        i = 1
-    while i + 1 < len(records):
-        rise, fall = records[i], records[i + 1]
-        pulses.append(Pulse(start_s=rise.time_s, end_s=fall.time_s))
-        i += 2
-    if i < len(records):
-        orphans += 1  # trailing rising edge never fell within the window
-    return PulseExtraction(pulses=tuple(pulses), orphan_edges=orphans)
+    times = stream.times_s
+    # Line high at capture start: the leading falling edge closes a pulse
+    # whose rise we never saw.
+    lead = stream.initial_level if times.size else 0
+    stop = lead + (times.size - lead) // 2 * 2  # a trailing rise never fell within the window
+    return PulseExtraction(
+        starts_s=times[lead:stop:2],
+        ends_s=times[lead + 1 : stop : 2],
+        orphan_edges=times.size - (stop - lead),
+    )
 
 
-def classify_pulses(pulses: Sequence[Pulse], threshold_ms: float) -> tuple[Pulse, ...]:
-    """Split pulses into markers and inference intervals by width.
+def classify_pulses(widths_ms: np.ndarray, threshold_ms: float) -> np.ndarray:
+    """Marker mask over pulse widths; every other pulse is an inference interval.
 
     Boundary rule: width >= threshold is a marker, so a marker degraded
     exactly to the threshold is still found.
     """
     if threshold_ms <= 0:
         raise ValueError(f"threshold_ms must be positive, got {threshold_ms}")
-    out = []
-    for p in pulses:
-        kind = PulseKind.MARKER if p.width_ms >= threshold_ms else PulseKind.INFERENCE
-        out.append(Pulse(start_s=p.start_s, end_s=p.end_s, kind=kind))
-    return tuple(out)
-
-
-def locate_marker(pulses: Sequence[Pulse]) -> MarkerLocation:
-    """Find the first marker pulse; extras are surfaced, not fatal.
-
-    Multiple markers are the signature of marker/inference overlap, so
-    the ambiguity is carried in the result for the validity layer.
-    """
-    marker_indices = [i for i, p in enumerate(pulses) if p.kind == PulseKind.MARKER]
-    if not marker_indices:
-        return MarkerLocation(found=False, index=None, pre_marker_pulses=0)
-    first = marker_indices[0]
-    return MarkerLocation(
-        found=True,
-        index=first,
-        pre_marker_pulses=first,
-        extra_marker_indices=tuple(marker_indices[1:]),
-    )
+    return np.asarray(widths_ms) >= threshold_ms
 
 
 def validate_marker_separation(
     marker_width_ms: float,
-    observed_inference_widths_ms: Sequence[float],
+    observed_inference_widths_ms: np.ndarray,
     min_margin: float = DEFAULT_MIN_MARGIN,
 ) -> MarkerSeparationCheck:
     """Check the marker width against the observed inference distribution.
@@ -135,7 +119,7 @@ def validate_marker_separation(
     """
     if marker_width_ms <= 0:
         raise ValueError(f"marker_width_ms must be positive, got {marker_width_ms}")
-    if not observed_inference_widths_ms:
+    if len(observed_inference_widths_ms) == 0:
         return MarkerSeparationCheck(
             marker_width_ms=marker_width_ms,
             inference_max_observed_ms=None,
@@ -143,7 +127,7 @@ def validate_marker_separation(
             min_margin=min_margin,
             passed=True,
         )
-    max_observed = max(observed_inference_widths_ms)
+    max_observed = float(np.max(observed_inference_widths_ms))
     ratio = marker_width_ms / max_observed
     return MarkerSeparationCheck(
         marker_width_ms=marker_width_ms,
@@ -154,75 +138,52 @@ def validate_marker_separation(
     )
 
 
-def pair_intervals(log: SoftwareTimingLog, pulses: Sequence[Pulse]) -> PairingResult:
+def pair_intervals(
+    log: SoftwareTimingLog, widths_ms: np.ndarray, markers: np.ndarray
+) -> PairingResult:
     """Pair software rows with post-marker inference pulses by index.
 
-    All degradation lands in the result rather than raising: runs where
+    The first marker anchors the pairing; extra markers are surfaced, not
+    fatal, since they are the signature of marker/inference overlap. All
+    degradation lands in the result rather than raising: runs where
     pairing collapses are exactly the data of interest. Pre-marker
     (warmup) pulses are structurally excluded and never paired.
     """
-    loc = locate_marker(pulses)
-    warnings: list[str] = []
-    if not loc.found:
-        if pulses:
-            warnings.append("no synchronization marker found; cannot anchor pairing")
+    widths_ms = np.asarray(widths_ms, dtype=np.float64)
+    markers = np.asarray(markers, dtype=bool)
+    marker_at = np.flatnonzero(markers)
+    rows = log.iterations.size
+    if marker_at.size == 0:
+        warnings = ("no synchronization marker found; cannot anchor pairing",) if widths_ms.size else ()
         return PairingResult(
-            pairs=(),
-            unmatched_software=tuple(i for i, _ in log.rows),
-            unmatched_pulses=tuple(pulses),
+            iterations=log.iterations[:0],
+            software_ms=log.latencies_ms[:0],
+            external_ms=widths_ms[:0],
+            unmatched_software=rows,
+            unmatched_pulses=widths_ms.size,
+            inference_pulses=0,
             marker_found=False,
             pre_marker_pulses=0,
-            warnings=tuple(warnings),
+            warnings=warnings,
         )
 
-    if loc.ambiguous:
-        warnings.append(
-            f"{len(loc.extra_marker_indices)} extra marker-width pulses after the first "
-            "marker; possible marker/inference overlap"
+    first, extra_markers = int(marker_at[0]), marker_at.size - 1
+    warnings = ()
+    if extra_markers:
+        warnings = (
+            f"{extra_markers} extra marker-width pulses after the first "
+            "marker; possible marker/inference overlap",
         )
-
-    post = list(pulses[loc.index + 1 :])
-    inference = [p for p in post if p.kind == PulseKind.INFERENCE]
-    extra_markers = [p for p in post if p.kind == PulseKind.MARKER]
-
-    pairs = []
-    for (iteration, latency), pulse in zip(log.rows, inference):
-        pairs.append((iteration, latency, pulse.width_ms))
-    n = len(pairs)
-    unmatched_software = tuple(iteration for iteration, _ in log.rows[n:])
-    unmatched_pulses = tuple(inference[n:]) + tuple(extra_markers)
-
+    inference = widths_ms[first + 1 :][~markers[first + 1 :]]
+    n = min(rows, inference.size)
     return PairingResult(
-        pairs=tuple(pairs),
-        unmatched_software=unmatched_software,
-        unmatched_pulses=unmatched_pulses,
+        iterations=log.iterations[:n],
+        software_ms=log.latencies_ms[:n],
+        external_ms=inference[:n],
+        unmatched_software=rows - n,
+        unmatched_pulses=inference.size - n + extra_markers,
+        inference_pulses=inference.size,
         marker_found=True,
-        pre_marker_pulses=loc.pre_marker_pulses,
-        warnings=tuple(warnings),
+        pre_marker_pulses=first,
+        warnings=warnings,
     )
-
-
-def pairing_to_json(result: PairingResult, path: str | Path | None = None) -> str:
-    """Serialize a PairingResult; widths carry 6 decimal digits of ms."""
-    payload = {
-        "pairs": [
-            {
-                "iteration": it,
-                "software_latency_ms": round(sw, 6),
-                "external_width_ms": round(ext, 6),
-            }
-            for it, sw, ext in result.pairs
-        ],
-        "unmatched_software": list(result.unmatched_software),
-        "unmatched_pulses": [
-            {"start_s": p.start_s, "end_s": p.end_s, "width_ms": round(p.width_ms, 6), "kind": p.kind}
-            for p in result.unmatched_pulses
-        ],
-        "marker_found": result.marker_found,
-        "pre_marker_pulses": result.pre_marker_pulses,
-        "warnings": list(result.warnings),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text

@@ -16,7 +16,6 @@ Two detectors cover the two ways interference showed up:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -103,7 +102,9 @@ def run_summary(
     # All statistics run over the sorted array so reordering the input
     # cannot perturb floating-point accumulation.
     s = np.sort(arr)
-    sd = float(np.std(s, ddof=1)) if s.size > 1 else 0.0
+    # A constant vector has exactly zero spread; np.std can leave rounding
+    # residue on it, and the regime detector branches on sd > 0.
+    sd = 0.0 if s[0] == s[-1] else float(np.std(s, ddof=1))
     return RunSummary(
         run_id=run_id,
         n=int(s.size),
@@ -275,10 +276,3 @@ def condition_summary_to_dict(s: ConditionSummary) -> dict:
         "max_observed_ms": s.max_observed,
         "single_run_warning": s.single_run_warning,
     }
-
-
-def condition_summary_to_json(s: ConditionSummary, path: str | Path | None = None) -> str:
-    text = json.dumps(condition_summary_to_dict(s), indent=2, sort_keys=True)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text

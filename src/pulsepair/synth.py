@@ -17,17 +17,14 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .capture import (
-    Pulse,
     RunMetadata,
     SoftwareTimingLog,
-    TransitionRecord,
     TransitionStream,
     dump_run_metadata,
     dump_software_log,
@@ -165,16 +162,12 @@ class GroundTruth:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratedRun:
     log: SoftwareTimingLog
     stream: TransitionStream
     meta: RunMetadata
     truth: GroundTruth
-
-
-def _quantize(t_s: float, sample_period: float) -> float:
-    return round(t_s / sample_period) * sample_period
 
 
 def gen_run(
@@ -210,46 +203,31 @@ def gen_run(
     latencies = np.round(dist.sample(rng, meta.iterations_expected), 6)
     overhead = rng.uniform(0.0, bound_ms, size=meta.iterations_expected)
 
-    records: list[TransitionRecord] = []
-    t_s = gap_ms * 1e-3
+    # One pulse per warmup iteration, the marker, then one per iteration.
+    # Pulse k starts a gap after pulse k-1 ends; accumulating left to right
+    # keeps the rounding of a running sum. Edges land on the sample grid.
+    widths_ms = np.concatenate((warmup, [marker_width_ms], latencies + overhead))
+    steps_s = np.concatenate(([gap_ms * 1e-3], (widths_ms[:-1] + gap_ms) * 1e-3))
+    starts_s = np.add.accumulate(steps_s)
+    edges = np.rint(np.column_stack((starts_s, starts_s + widths_ms * 1e-3)) / sp) * sp
 
-    def emit_pulse(width_ms: float) -> None:
-        nonlocal t_s
-        rise = _quantize(t_s, sp)
-        fall = _quantize(t_s + width_ms * 1e-3, sp)
-        records.append(TransitionRecord(time_s=rise, level=1))
-        records.append(TransitionRecord(time_s=fall, level=0))
-        t_s = t_s + (width_ms + gap_ms) * 1e-3
-
-    for w in warmup:
-        emit_pulse(float(w))
-    emit_pulse(marker_width_ms)
-    marker_end_index = len(records)
-    for lat, over in zip(latencies, overhead):
-        emit_pulse(float(lat) + float(over))
-
-    # Apply the external-channel fault.
-    kept_pulses = meta.iterations_expected
+    # Apply the external-channel fault: a boolean mask over pulses.
+    first_inference = meta.warmup_iterations + 1
+    keep = np.ones(widths_ms.size, dtype=bool)
     if fault.kind is FaultKind.EMPTY_CAPTURE:
-        records = []
-        kept_pulses = 0
+        keep[:] = False
     elif fault.kind is FaultKind.POST_MARKER_COLLAPSE:
-        records = records[:marker_end_index]
-        kept_pulses = 0
+        keep[first_inference:] = False
     elif fault.kind is FaultKind.PARTIAL_LOSS:
-        keep = rng.random(meta.iterations_expected) >= fault.drop_fraction
-        kept = records[:marker_end_index]
-        for i, k in enumerate(keep):
-            if k:
-                kept.extend(records[marker_end_index + 2 * i : marker_end_index + 2 * i + 2])
-        records = kept
-        kept_pulses = int(keep.sum())
+        keep[first_inference:] = rng.random(meta.iterations_expected) >= fault.drop_fraction
+    kept_pulses = int(keep[first_inference:].sum())
 
-    stream = TransitionStream(records=tuple(records), sample_period=sp, initial_level=0)
+    stream = TransitionStream(edges[keep].ravel(), initial_level=0)
     log = SoftwareTimingLog(
         run_id=meta.run_id,
         iterations_expected=meta.iterations_expected,
-        rows=tuple((i, float(lat)) for i, lat in enumerate(latencies)),
+        iterations=np.arange(meta.iterations_expected),
+        latencies_ms=latencies,
     )
     mode, validity = _expected_outcome(fault, kept_pulses, meta)
     truth = GroundTruth(
@@ -258,7 +236,7 @@ def gen_run(
         fault=fault,
         expected_failure_mode=mode,
         expected_validity=validity,
-        true_latencies_ms=tuple(float(v) for v in latencies),
+        true_latencies_ms=tuple(latencies.tolist()),
         pulses_emitted=kept_pulses,
     )
     return GeneratedRun(log=log, stream=stream, meta=meta, truth=truth)

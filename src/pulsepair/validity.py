@@ -16,9 +16,7 @@ healthy (observability decoupling).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 from .capture import RunMetadata, SoftwareTimingLog
@@ -82,11 +80,15 @@ def detect_decoupling(
     `transitions_recovered` is the raw edge count of the capture, before
     any pulse extraction. Rule order matters: an empty capture says
     nothing about markers, and a failed separation check poisons the
-    pairing before pair counts mean anything.
+    pairing before pulse counts mean anything.
+
+    Loss is judged from the post-marker inference pulses the capture
+    holds, not from the pairs formed, so a short software log is never
+    mistaken for lost transitions.
     """
     expected_iters = meta.iterations_expected
     transitions_expected = 2 * expected_iters
-    pairs = len(pairing.pairs)
+    recovered = min(pairing.inference_pulses, expected_iters)
     loss_fraction: float | None = None
 
     if transitions_recovered == 0:
@@ -100,11 +102,11 @@ def detect_decoupling(
         mode = FailureMode.MARKER_OVERLAP
     elif not pairing.marker_found:
         mode = FailureMode.PAIRING_FAILURE
-    elif pairs == 0:
+    elif recovered == 0:
         mode = FailureMode.POST_MARKER_COLLAPSE
-    elif pairs < expected_iters:
+    elif recovered < expected_iters:
         mode = FailureMode.PARTIAL_TRANSITION_LOSS
-        loss_fraction = 1.0 - (2 * pairs) / transitions_expected
+        loss_fraction = 1.0 - (2 * recovered) / transitions_expected
     else:
         mode = FailureMode.HEALTHY
 
@@ -114,7 +116,7 @@ def detect_decoupling(
         marker_found=pairing.marker_found,
         transitions_recovered=transitions_recovered,
         transitions_expected=transitions_expected,
-        pairs_formed=pairs,
+        pairs_formed=pairing.iterations.size,
         failure_mode=mode,
         loss_fraction=loss_fraction,
     )
@@ -200,10 +202,3 @@ def report_to_dict(report: DecouplingReport) -> dict:
     if report.validity is not None:
         out["validity"] = {"class": report.validity.name, "label": report.validity.label}
     return out
-
-
-def report_to_json(report: DecouplingReport, path: str | Path | None = None) -> str:
-    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text

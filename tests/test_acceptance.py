@@ -136,7 +136,7 @@ def test_criterion_6_statistics_oracle(capsys):
 
 
 def test_criterion_7_pulse_extraction_properties(capsys):
-    from pulsepair.capture import TransitionRecord, TransitionStream
+    from pulsepair.capture import DEFAULT_SAMPLE_PERIOD_S, TransitionStream
 
     rng = np.random.default_rng(7)
     cases = 0
@@ -144,22 +144,19 @@ def test_criterion_7_pulse_extraction_properties(capsys):
         n = int(rng.integers(0, 24))
         ticks = np.unique(rng.integers(1, 10**7, size=n))
         start_level = int(rng.integers(0, 2))
-        levels = [(start_level + i) % 2 for i in range(len(ticks))]
         stream = TransitionStream(
-            records=tuple(
-                TransitionRecord(float(t) * 1e-7, lv) for t, lv in zip(ticks, levels)
-            ),
+            times_s=ticks * 1e-7,
             initial_level=1 - start_level if len(ticks) else 0,
         )
         res = extract_pulses(stream)
         # edge conservation
-        assert len(stream) == 2 * len(res.pulses) + res.orphan_edges
+        assert len(stream) == 2 * res.starts_s.size + res.orphan_edges
         # width floor
-        for p in res.pulses:
-            assert p.end_s - p.start_s >= stream.sample_period - 1e-15
+        for start_s, end_s in zip(res.starts_s, res.ends_s):
+            assert end_s - start_s >= DEFAULT_SAMPLE_PERIOD_S - 1e-15
         # agreement with the brute-force pairer
-        expected, orphans = brute_pair_edges([(r.time_s, r.level) for r in stream.records])
-        assert [(p.start_s, p.end_s) for p in res.pulses] == expected
+        expected, orphans = brute_pair_edges(list(zip(stream.times_s.tolist(), stream.levels.tolist())))
+        assert list(zip(res.starts_s.tolist(), res.ends_s.tolist())) == expected
         assert res.orphan_edges == orphans
         cases += 1
     assert cases >= 10_000
@@ -229,7 +226,8 @@ def test_criterion_9_claim_filtering(capsys):
             log = type(log)(
                 run_id=log.run_id,
                 iterations_expected=log.iterations_expected,
-                rows=log.rows[:truncate_log_to],
+                iterations=log.iterations[:truncate_log_to],
+                latencies_ms=log.latencies_ms[:truncate_log_to],
             )
         return analyze(log, run.stream, run.meta)
 

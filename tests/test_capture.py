@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +9,6 @@ from pulsepair.capture import (
     IntegrityError,
     RunMetadata,
     SoftwareTimingLog,
-    TransitionRecord,
     TransitionStream,
     dump_run_metadata,
     dump_software_log,
@@ -30,7 +30,7 @@ class TestTransitionStreamLoad:
         p = write(tmp_path, "t.csv", "time_s,level\n0.000000,1\n0.001000,0\n")
         stream = load_transition_stream(p)
         assert len(stream) == 2
-        assert stream.records[0] == TransitionRecord(0.0, 1)
+        assert (stream.times_s[0], stream.levels[0]) == (0.0, 1)
         assert stream.initial_level == 0
 
     def test_header_only_yields_empty_stream(self, tmp_path):
@@ -74,19 +74,41 @@ class TestTransitionStreamLoad:
         with pytest.raises(FormatError):
             load_transition_stream(p)
 
+    def test_order_errors_name_the_real_line(self, tmp_path):
+        # empty lines are skipped, but still counted in line numbers
+        p = write(tmp_path, "t.csv", "time_s,level\n0.1,1\n\n0.2,0\n\n0.2,1\n")
+        with pytest.raises(IntegrityError, match=r"t\.csv:6: time 0.2 not strictly after"):
+            load_transition_stream(p)
+        p = write(tmp_path, "t.csv", "time_s,level\n0.1,1\n\n0.2,0\n0.3,0\n")
+        with pytest.raises(IntegrityError, match=r"t\.csv:5: repeated level"):
+            load_transition_stream(p)
+
+    def test_direct_construction_uses_the_same_validator(self):
+        with pytest.raises(IntegrityError, match="not strictly after"):
+            TransitionStream(times_s=[0.5, 0.2])
+        with pytest.raises(IntegrityError, match="finite and >= 0"):
+            TransitionStream(times_s=[np.nan])
+
     def test_round_trip_is_byte_identical(self, tmp_path):
-        stream = TransitionStream(
-            records=(
-                TransitionRecord(0.0000001, 1),
-                TransitionRecord(0.0013002, 0),
-                TransitionRecord(0.2013003, 1),
-                TransitionRecord(1.4013004, 0),
-            )
-        )
+        stream = TransitionStream(times_s=[0.0000001, 0.0013002, 0.2013003, 1.4013004])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         dump_transition_stream(stream, p1)
         dump_transition_stream(load_transition_stream(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def csv_text(times, levels):
+    return "time_s,level\n" + "".join(f"{t:.9f},{lv}\n" for t, lv in zip(times, levels))
+
+
+def load_csv_text(text):
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "t.csv"
+        p.write_text(text)
+        return load_transition_stream(p)
 
 
 @given(
@@ -95,13 +117,10 @@ class TestTransitionStreamLoad:
 def test_any_accepted_stream_is_monotone_and_alternating(ticks):
     # Build a stream on a 100 ns grid from unique sample indices.
     times = sorted(t * 1e-7 for t in ticks)
-    records = tuple(
-        TransitionRecord(time_s=t, level=(i + 1) % 2) for i, t in enumerate(times)
-    )
-    stream = TransitionStream(records=records)
-    levels = [r.level for r in stream.records]
+    stream = load_csv_text(csv_text(times, [(i + 1) % 2 for i in range(len(times))]))
+    levels = stream.levels.tolist()
     assert all(a != b for a, b in zip(levels, levels[1:]))
-    ts = [r.time_s for r in stream.records]
+    ts = stream.times_s.tolist()
     assert all(a < b for a, b in zip(ts, ts[1:]))
 
 
@@ -115,9 +134,7 @@ def test_level_violations_always_rejected(ticks, pos):
     levels = [(i + 1) % 2 for i in range(len(times))]
     levels[pos] = levels[pos - 1]  # break alternation
     with pytest.raises(IntegrityError):
-        TransitionStream(
-            records=tuple(TransitionRecord(t, lv) for t, lv in zip(times, levels))
-        )
+        load_csv_text(csv_text(times, levels))
 
 
 @given(
@@ -128,10 +145,9 @@ def test_randomized_canonical_files_round_trip(ticks):
     from pathlib import Path
 
     times = sorted(t * 1e-7 for t in ticks)
-    records = tuple(TransitionRecord(t, (i + 1) % 2) for i, t in enumerate(times))
     with tempfile.TemporaryDirectory() as tmp:
         p1, p2 = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
-        dump_transition_stream(TransitionStream(records=records), p1)
+        dump_transition_stream(TransitionStream(times_s=times), p1)
         dump_transition_stream(load_transition_stream(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -141,13 +157,13 @@ class TestSoftwareLogLoad:
         body = "iteration,latency_ms\n" + "".join(f"{i},{1.2 + i * 0.001:.6f}\n" for i in range(100))
         log = load_software_log(write(tmp_path, "s.csv", body), expected=100)
         assert log.complete
-        assert len(log.rows) == 100
+        assert log.iterations.size == 100
 
     def test_short_log_is_valid_but_incomplete(self, tmp_path):
         body = "iteration,latency_ms\n" + "".join(f"{i},1.5\n" for i in range(87))
         log = load_software_log(write(tmp_path, "s.csv", body), expected=100)
         assert not log.complete
-        assert len(log.rows) == 87
+        assert log.iterations.size == 87
 
     def test_negative_latency_rejected(self, tmp_path):
         p = write(tmp_path, "s.csv", "iteration,latency_ms\n0,-1.0\n")
@@ -164,9 +180,17 @@ class TestSoftwareLogLoad:
         with pytest.raises(FormatError, match=":3:.*duplicate"):
             load_software_log(p, expected=2)
 
+    def test_direct_construction_uses_the_same_validator(self):
+        with pytest.raises(IntegrityError, match="not strictly ascending"):
+            SoftwareTimingLog(run_id="r", iterations_expected=2, iterations=[1, 0],
+                              latencies_ms=[1.0, 1.0])
+        with pytest.raises(IntegrityError, match="positive finite"):
+            SoftwareTimingLog(run_id="r", iterations_expected=1, iterations=[0],
+                              latencies_ms=[0.0])
+
     def test_round_trip_is_byte_identical(self, tmp_path):
         log = SoftwareTimingLog(
-            run_id="r", iterations_expected=3, rows=((0, 1.234567), (1, 1.2), (2, 250.0))
+            run_id="r", iterations_expected=3, iterations=[0, 1, 2], latencies_ms=[1.234567, 1.2, 250.0]
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         dump_software_log(log, p1)
@@ -191,6 +215,10 @@ class TestRunMetadata:
     def test_threshold_must_be_below_width(self):
         with pytest.raises(IntegrityError):
             self.meta(marker_threshold_ms=250.0)
+
+    def test_nonpositive_sample_period_rejected(self):
+        with pytest.raises(IntegrityError, match="sample_period_s"):
+            self.meta(sample_period_s=0.0)
 
     def test_negative_warmup_rejected(self):
         with pytest.raises(IntegrityError):

@@ -44,6 +44,22 @@ class TestAnalyzeExitCodes:
         assert rc == 2
         assert "validity: C" in capsys.readouterr().out
 
+    def test_truncated_log_is_not_reported_as_transition_loss(self, corpora, tmp_path, capsys):
+        # Half the software rows are missing but every edge was captured:
+        # the runtime is invalid (C), the external channel is healthy.
+        src = corpora / "base" / "trt_baseline_001"
+        dst = tmp_path / "truncated"
+        dst.mkdir()
+        lines = (src / "software.csv").read_text().splitlines()
+        (dst / "software.csv").write_text("\n".join(lines[:51]) + "\n")  # header + 50 rows
+        (dst / "transitions.csv").write_text((src / "transitions.csv").read_text())
+        (dst / "metadata.json").write_text((src / "metadata.json").read_text())
+        assert main(["analyze", str(dst), "--format", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["validity"]["class"] == "C"
+        assert payload["decoupling"]["failure_mode"] == "healthy"
+        assert payload["decoupling"]["loss_fraction"] is None
+
     def test_marker_overlap_exits_three(self, corpora, capsys):
         rc = main(["analyze", str(corpora / "overlap" / "marker_overlap_demo_001")])
         assert rc == 3
@@ -62,6 +78,19 @@ class TestAnalyzeExitCodes:
         (dst / "transitions.csv").write_text((src / "transitions.csv").read_text())
         (dst / "metadata.json").write_text((src / "metadata.json").read_text())
         assert main(["analyze", str(dst)]) == 1
+
+
+    def test_nonpositive_sample_period_exits_one(self, corpora, tmp_path, capsys):
+        src = corpora / "base" / "trt_baseline_001"
+        dst = tmp_path / "bad_meta"
+        dst.mkdir()
+        for name in ("software.csv", "transitions.csv"):
+            (dst / name).write_text((src / name).read_text())
+        meta = json.loads((src / "metadata.json").read_text())
+        meta["sample_period_s"] = 0.0
+        (dst / "metadata.json").write_text(json.dumps(meta))
+        assert main(["analyze", str(dst)]) == 1
+        assert "sample_period_s must be positive" in capsys.readouterr().err
 
 
 class TestAnalyzeReports:
@@ -108,6 +137,27 @@ class TestCondition:
         assert payload["external_view"]["summary"]["runs"] == 5
         assert payload["external_view"]["summary"]["samples"] == 500
         assert (tmp_path / "rep" / "external_ecdf.csv").exists()
+
+    def test_reused_out_dir_drops_stale_external_ecdf(self, corpora, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main(["condition", *run_dirs(corpora / "base"), "--out", str(out)]) == 0
+        assert (out / "external_ecdf.csv").exists()
+        trio = corpora / "trio"
+        assert main(["condition", str(trio / "storage_stress_001"),
+                     str(trio / "storage_stress_003"), "--out", str(out)]) == 0
+        payload = json.loads((out / "condition_report.json").read_text())
+        assert payload["no_defensible_external_claims"] is True
+        assert not (out / "external_ecdf.csv").exists()
+        assert (out / "software_ecdf.csv").exists()
+
+    def test_reused_out_dir_drops_stale_software_ecdf(self, corpora, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main(["condition", *run_dirs(corpora / "base"), "--out", str(out)]) == 0
+        assert (out / "software_ecdf.csv").exists()
+        # a lone class-D run supports neither external nor software-only claims
+        assert main(["condition", *run_dirs(corpora / "overlap"), "--out", str(out)]) == 0
+        assert not (out / "software_ecdf.csv").exists()
+        assert not (out / "external_ecdf.csv").exists()
 
     def test_detectors_require_baseline(self, corpora, tmp_path, capsys):
         main(["condition", *run_dirs(corpora / "base"), "--out", str(tmp_path / "nobase")])

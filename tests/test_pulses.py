@@ -1,23 +1,14 @@
-import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pulsepair.capture import (
-    Pulse,
-    PulseKind,
-    SoftwareTimingLog,
-    TransitionRecord,
-    TransitionStream,
-)
+from pulsepair.capture import DEFAULT_SAMPLE_PERIOD_S, SoftwareTimingLog, TransitionStream
 from pulsepair.pulses import (
     classify_pulses,
     extract_pulses,
-    locate_marker,
     pair_intervals,
-    pairing_to_json,
     validate_marker_separation,
 )
 
@@ -27,49 +18,40 @@ from oracles import brute_pair_edges
 def stream_from_ticks(ticks, start_level=1):
     """Alternating-edge stream on the 100 ns grid, first edge at start_level."""
     times = sorted(t * 1e-7 for t in ticks)
-    levels = [(start_level + i) % 2 for i in range(len(times))]
-    records = tuple(TransitionRecord(t, lv) for t, lv in zip(times, levels))
-    return TransitionStream(records=records, initial_level=1 - start_level if times else 0)
-
-
-def pulse(width_ms, start_s=0.0, kind=PulseKind.UNCLASSIFIED):
-    return Pulse(start_s=start_s, end_s=start_s + width_ms * 1e-3, kind=kind)
+    return TransitionStream(times_s=times, initial_level=1 - start_level if times else 0)
 
 
 def make_log(n, latency=1.5):
     return SoftwareTimingLog(
-        run_id="r", iterations_expected=n, rows=tuple((i, latency) for i in range(n))
+        run_id="r", iterations_expected=n, iterations=np.arange(n), latencies_ms=np.full(n, latency)
     )
 
 
 class TestExtractPulses:
     def test_empty_stream(self):
-        res = extract_pulses(TransitionStream(records=()))
-        assert res.pulses == ()
+        res = extract_pulses(TransitionStream(times_s=[]))
+        assert res.starts_s.size == 0
         assert res.orphan_edges == 0
 
     def test_single_pulse_width(self):
-        stream = TransitionStream(
-            records=(TransitionRecord(0.0, 1), TransitionRecord(0.001, 0))
-        )
+        stream = TransitionStream(times_s=[0.0, 0.001])
         res = extract_pulses(stream)
-        assert len(res.pulses) == 1
-        assert res.pulses[0].width_ms == pytest.approx(1.0)
-        assert res.pulses[0].kind == PulseKind.UNCLASSIFIED
+        assert res.starts_s.size == 1
+        assert res.widths_ms[0] == pytest.approx(1.0)
 
     def test_leading_fall_is_an_orphan(self):
         # fall, rise, fall, rise, fall: orphan lead + two complete pulses
         stream = stream_from_ticks([10, 20, 30, 40, 50], start_level=0)
         res = extract_pulses(stream)
         assert res.orphan_edges == 1
-        assert len(res.pulses) == 2
+        assert res.starts_s.size == 2
 
     def test_trailing_rise_is_an_orphan(self):
         # rise, fall, rise: one pulse + orphan trailing rise
         stream = stream_from_ticks([10, 20, 30], start_level=1)
         res = extract_pulses(stream)
         assert res.orphan_edges == 1
-        assert len(res.pulses) == 1
+        assert res.starts_s.size == 1
 
     def test_matches_brute_force_pairer_on_random_streams(self):
         rng = np.random.default_rng(42)
@@ -79,70 +61,67 @@ class TestExtractPulses:
             start_level = int(rng.integers(0, 2))
             stream = stream_from_ticks(ticks.tolist(), start_level=start_level)
             res = extract_pulses(stream)
-            edges = [(r.time_s, r.level) for r in stream.records]
+            edges = list(zip(stream.times_s.tolist(), stream.levels.tolist()))
             expected_pulses, expected_orphans = brute_pair_edges(edges)
-            got = [(p.start_s, p.end_s) for p in res.pulses]
+            got = list(zip(res.starts_s.tolist(), res.ends_s.tolist()))
             assert got == expected_pulses
             assert res.orphan_edges == expected_orphans
             # conservation: every edge is either in a pulse or an orphan
-            assert len(edges) == 2 * len(res.pulses) + res.orphan_edges
+            assert len(edges) == 2 * res.starts_s.size + res.orphan_edges
 
     def test_width_at_least_sample_period(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             ticks = np.unique(rng.integers(1, 10**6, size=int(rng.integers(2, 30))))
             stream = stream_from_ticks(ticks.tolist(), start_level=1)
-            for p in extract_pulses(stream).pulses:
-                assert p.end_s - p.start_s >= stream.sample_period - 1e-15
+            res = extract_pulses(stream)
+            for start_s, end_s in zip(res.starts_s, res.ends_s):
+                assert end_s - start_s >= DEFAULT_SAMPLE_PERIOD_S - 1e-15
 
 
 class TestClassifyPulses:
     def test_marker_above_threshold(self):
-        (p,) = classify_pulses([pulse(1000.0)], threshold_ms=800.0)
-        assert p.kind == PulseKind.MARKER
+        (is_marker,) = classify_pulses([1000.0], threshold_ms=800.0)
+        assert is_marker
 
     def test_inference_below_threshold(self):
-        (p,) = classify_pulses([pulse(250.0)], threshold_ms=800.0)
-        assert p.kind == PulseKind.INFERENCE
+        (is_marker,) = classify_pulses([250.0], threshold_ms=800.0)
+        assert not is_marker
 
     def test_boundary_width_is_marker(self):
-        (p,) = classify_pulses([pulse(800.0)], threshold_ms=800.0)
-        assert p.kind == PulseKind.MARKER
+        (is_marker,) = classify_pulses([800.0], threshold_ms=800.0)
+        assert is_marker
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValueError):
-            classify_pulses([pulse(1.0)], threshold_ms=0.0)
+            classify_pulses([1.0], threshold_ms=0.0)
 
 
 class TestLocateMarker:
-    def make(self, kinds):
-        out = []
-        t = 0.0
-        for k in kinds:
-            w = 1000.0 if k == PulseKind.MARKER else 1.0
-            out.append(Pulse(start_s=t, end_s=t + w * 1e-3, kind=k))
-            t += (w + 1.0) * 1e-3
-        return out
+    """The marker is the first hit of the classifier's mask; pairing anchors on it."""
+
+    def locate(self, is_marker):
+        widths = np.where(is_marker, 1000.0, 1.0)
+        markers = classify_pulses(widths, threshold_ms=800.0)
+        return np.flatnonzero(markers), pair_intervals(make_log(0), widths, markers)
 
     def test_warmup_then_marker_then_inference(self):
-        kinds = [PulseKind.INFERENCE] * 10 + [PulseKind.MARKER] + [PulseKind.INFERENCE] * 100
-        loc = locate_marker(self.make(kinds))
-        assert loc.found and loc.index == 10 and loc.pre_marker_pulses == 10
-        assert not loc.ambiguous
+        marker_at, res = self.locate([False] * 10 + [True] + [False] * 100)
+        assert res.marker_found and marker_at[0] == 10 and res.pre_marker_pulses == 10
+        assert marker_at.size == 1 and not res.warnings
 
     def test_no_marker(self):
-        loc = locate_marker(self.make([PulseKind.INFERENCE] * 100))
-        assert not loc.found and loc.index is None
+        marker_at, res = self.locate([False] * 100)
+        assert not res.marker_found and marker_at.size == 0
 
     def test_marker_alone(self):
-        loc = locate_marker(self.make([PulseKind.MARKER]))
-        assert loc.found and loc.index == 0 and loc.pre_marker_pulses == 0
+        marker_at, res = self.locate([True])
+        assert res.marker_found and marker_at[0] == 0 and res.pre_marker_pulses == 0
 
     def test_multiple_markers_flagged_not_fatal(self):
-        kinds = [PulseKind.MARKER, PulseKind.INFERENCE, PulseKind.MARKER]
-        loc = locate_marker(self.make(kinds))
-        assert loc.found and loc.index == 0
-        assert loc.ambiguous and loc.extra_marker_indices == (2,)
+        marker_at, res = self.locate([True, False, True])
+        assert res.marker_found and marker_at[0] == 0
+        assert res.warnings and tuple(marker_at[1:]) == (2,)
 
 
 class TestMarkerSeparation:
@@ -170,74 +149,56 @@ class TestMarkerSeparation:
 
 
 def classified_run(n_inference, warmup=0, extra_markers=0):
-    pulses = []
-    t = 0.0
-    for _ in range(warmup):
-        pulses.append(Pulse(t, t + 0.0015, kind=PulseKind.INFERENCE))
-        t += 0.003
-    pulses.append(Pulse(t, t + 0.2, kind=PulseKind.MARKER))
-    t += 0.21
-    for _ in range(n_inference):
-        pulses.append(Pulse(t, t + 0.0015, kind=PulseKind.INFERENCE))
-        t += 0.003
-    for _ in range(extra_markers):
-        pulses.append(Pulse(t, t + 0.3, kind=PulseKind.MARKER))
-        t += 0.4
-    return pulses
+    """Pulse widths (ms) and the marker mask of one classified run."""
+    widths = [1.5] * warmup + [200.0] + [1.5] * n_inference + [300.0] * extra_markers
+    markers = [False] * warmup + [True] + [False] * n_inference + [True] * extra_markers
+    return np.array(widths), np.array(markers)
 
 
 class TestPairIntervals:
     def test_full_pairing(self):
-        res = pair_intervals(make_log(100), classified_run(100, warmup=10))
+        res = pair_intervals(make_log(100), *classified_run(100, warmup=10))
         assert len(res.pairs) == 100
-        assert res.unmatched_software == ()
-        assert res.unmatched_pulses == ()
+        assert res.unmatched_software == 0
+        assert res.unmatched_pulses == 0
         assert res.pre_marker_pulses == 10
 
     def test_partial_pairing(self):
-        res = pair_intervals(make_log(100), classified_run(60))
+        res = pair_intervals(make_log(100), *classified_run(60))
         assert len(res.pairs) == 60
-        assert len(res.unmatched_software) == 40
+        assert res.unmatched_software == 40
         # order-preserving: the k-th pulse pairs with the k-th row
-        assert [it for it, _, _ in res.pairs] == list(range(60))
+        assert res.iterations.tolist() == list(range(60))
 
     def test_post_marker_collapse_pairing(self):
-        res = pair_intervals(make_log(100), classified_run(0))
-        assert res.pairs == ()
-        assert len(res.unmatched_software) == 100
+        res = pair_intervals(make_log(100), *classified_run(0))
+        assert res.iterations.size == 0
+        assert res.unmatched_software == 100
         assert res.marker_found
 
     def test_no_marker_means_no_pairs(self):
-        pulses = [Pulse(i * 0.003, i * 0.003 + 0.0015, kind=PulseKind.INFERENCE) for i in range(20)]
-        res = pair_intervals(make_log(100), pulses)
+        res = pair_intervals(make_log(100), np.full(20, 1.5), np.zeros(20, dtype=bool))
         assert not res.marker_found
-        assert res.pairs == ()
-        assert len(res.unmatched_software) == 100
-        assert len(res.unmatched_pulses) == 20
+        assert res.iterations.size == 0
+        assert res.unmatched_software == 100
+        assert res.unmatched_pulses == 20
 
     def test_pairs_plus_unmatched_equals_rows(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             rows = int(rng.integers(0, 30))
             pulses = int(rng.integers(0, 30))
-            res = pair_intervals(make_log(rows) if rows else make_log(0), classified_run(pulses))
-            assert len(res.pairs) + len(res.unmatched_software) == rows
+            res = pair_intervals(make_log(rows) if rows else make_log(0), *classified_run(pulses))
+            assert len(res.pairs) + res.unmatched_software == rows
 
     def test_extra_pulses_never_change_pairs(self):
         log = make_log(50)
-        base = pair_intervals(log, classified_run(80))
-        more = pair_intervals(log, classified_run(95, extra_markers=2))
-        assert base.pairs == more.pairs
+        base = pair_intervals(log, *classified_run(80))
+        more = pair_intervals(log, *classified_run(95, extra_markers=2))
+        assert np.array_equal(base.pairs, more.pairs)
 
     def test_extra_markers_become_unmatched_with_warning(self):
-        res = pair_intervals(make_log(10), classified_run(10, extra_markers=2))
+        res = pair_intervals(make_log(10), *classified_run(10, extra_markers=2))
         assert len(res.pairs) == 10
-        assert len(res.unmatched_pulses) == 2
+        assert res.unmatched_pulses == 2
         assert any("extra marker" in w for w in res.warnings)
-
-    def test_json_serialization(self):
-        res = pair_intervals(make_log(3), classified_run(3))
-        payload = json.loads(pairing_to_json(res))
-        assert len(payload["pairs"]) == 3
-        assert payload["marker_found"] is True
-        assert payload["pairs"][0]["external_width_ms"] == pytest.approx(1.5, abs=1e-6)

@@ -70,16 +70,16 @@ class TestGenRun:
     def test_fault_free_structure(self):
         # marker + 10 warmup pulses + 100 measured pulses = 222 edges
         run = gen_run(DIST, trt_meta(), seed=0)
-        assert len(run.log.rows) == 100
+        assert run.log.iterations.size == 100
         assert len(run.stream) == 2 + 20 + 200
         assert run.truth.expected_failure_mode is FailureMode.HEALTHY
 
     def test_post_marker_collapse_ends_after_marker_fall(self):
         run = gen_run(DIST, trt_meta(), fault=FaultSpec(kind=FaultKind.POST_MARKER_COLLAPSE), seed=0)
         assert len(run.stream) == 2 + 20
-        assert run.stream.records[-1].level == 0
+        assert run.stream.levels[-1] == 0
         # the last pulse is the marker itself
-        last_width_ms = (run.stream.records[-1].time_s - run.stream.records[-2].time_s) * 1e3
+        last_width_ms = (run.stream.times_s[-1] - run.stream.times_s[-2]) * 1e3
         assert last_width_ms == pytest.approx(200.0, abs=0.001)
 
     def test_empty_capture_has_no_records(self):
@@ -116,11 +116,11 @@ class TestGenRun:
     def test_different_seeds_differ(self):
         a = gen_run(DIST, trt_meta(), seed=1)
         b = gen_run(DIST, trt_meta(), seed=2)
-        assert a.log.rows != b.log.rows
+        assert not np.array_equal(a.log.latencies_ms, b.log.latencies_ms)
 
     def test_warmup_transient_override(self):
         run = gen_run(DIST, trt_meta(), seed=0, warmup_transient_ms=3.21)
-        first_warmup_ms = (run.stream.records[1].time_s - run.stream.records[0].time_s) * 1e3
+        first_warmup_ms = (run.stream.times_s[1] - run.stream.times_s[0]) * 1e3
         assert first_warmup_ms == pytest.approx(3.21, abs=0.001)
 
     def test_statistical_recovery_of_mean(self):
@@ -184,7 +184,7 @@ class TestGenCondition:
     def test_run_count_and_sample_total(self):
         runs = gen_condition(DIST, trt_meta(), n_runs=5, master_seed=0)
         assert len(runs) == 5
-        assert sum(len(r.log.rows) for r in runs) == 500
+        assert sum(r.log.iterations.size for r in runs) == 500
         assert len({r.meta.run_id for r in runs}) == 5
 
     def test_single_run(self):
@@ -198,7 +198,7 @@ class TestGenCondition:
     def test_master_seed_determinism(self):
         a = gen_condition(DIST, trt_meta(), n_runs=3, master_seed=9)
         b = gen_condition(DIST, trt_meta(), n_runs=3, master_seed=9)
-        assert all(x.log.rows == y.log.rows for x, y in zip(a, b))
+        assert all(np.array_equal(x.log.latencies_ms, y.log.latencies_ms) for x, y in zip(a, b))
 
     def test_spiked_condition_has_spike_driven_high_sd_runs(self):
         # spike probability low enough that most runs stay spike-free:

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from pulsepair.capture import RunMetadata, SoftwareTimingLog
@@ -33,15 +34,19 @@ def meta(**over):
 
 def log_with(n_rows, expected=100):
     return SoftwareTimingLog(
-        run_id="r1", iterations_expected=expected, rows=tuple((i, 1.5) for i in range(n_rows))
+        run_id="r1", iterations_expected=expected, iterations=np.arange(n_rows),
+        latencies_ms=np.full(n_rows, 1.5),
     )
 
 
 def pairing_with(pairs, unmatched, marker_found=True):
     return PairingResult(
-        pairs=tuple((i, 1.5, 1.52) for i in range(pairs)),
-        unmatched_software=tuple(range(pairs, pairs + unmatched)),
-        unmatched_pulses=(),
+        iterations=np.arange(pairs),
+        software_ms=np.full(pairs, 1.5),
+        external_ms=np.full(pairs, 1.52),
+        unmatched_software=unmatched,
+        unmatched_pulses=0,
+        inference_pulses=pairs,
         marker_found=marker_found,
         pre_marker_pulses=0,
     )
