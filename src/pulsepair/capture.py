@@ -228,9 +228,9 @@ def _unparsable(path: Path, columns, exc: ValueError) -> FormatError:
     if bad is not None:
         return FormatError(f"{path}:{lineno[bad]}: expected 2 fields, got {fields[bad]}")
     cells = np.char.partition(rows, ",")[:, ::2]
-    found = [(row, col) for col, (dtype, _) in enumerate(columns)
-             if (row := _first_unconvertible(cells[:, col], dtype)) is not None]
-    if not found:
+    firsts = [_first_unconvertible(cells[:, col], dtype) for col, (dtype, _) in enumerate(columns)]
+    found = [(row, col) for col, row in enumerate(firsts) if row is not None]
+    if not found:  # np.loadtxt rejects a cell the plain conversion accepts, such as "1_0"
         return FormatError(f"{path}: {exc}")
     row, col = min(found)
     return FormatError(f"{path}:{lineno[row]}: {columns[col][1]} {str(cells[row, col])!r}")
