@@ -37,8 +37,6 @@ from .validity import (
     ValidityClass,
     classify_run_validity,
     detect_decoupling,
-    filter_for_external_claims,
-    finalize_report,
     split_claim_views,
 )
 from .stats import (

@@ -3,8 +3,7 @@
 `analyze_run` loads one run directory (software CSV, transition CSV,
 metadata JSON) and produces the full per-run report: pairing, separation
 check, decoupling report, validity class, and the statistics each class
-is allowed to carry. Software-only statistics exist for classes A and B;
-external statistics exist only for class A.
+is allowed to carry under the claim rule on `ValidityClass`.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ from .pulses import (
     validate_marker_separation,
 )
 from .stats import RunSummary, run_summary, run_summary_to_dict
-from .validity import (
-    DecouplingReport,
-    ValidityClass,
-    detect_decoupling,
-    finalize_report,
-    report_to_dict,
-)
+from .validity import DecouplingReport, ValidityClass, detect_decoupling, report_to_dict
 
 SOFTWARE_CSV = "software.csv"
 TRANSITIONS_CSV = "transitions.csv"
@@ -78,11 +71,8 @@ def analyze(
     markers = classify_pulses(widths, threshold)
     separation = validate_marker_separation(meta.marker_width_ms, widths[~markers], min_margin)
     pairing = pair_intervals(log, widths, markers)
-    report = finalize_report(
-        detect_decoupling(log, pairing, meta, transitions_recovered=len(stream),
-                          separation=separation),
-        separation,
-    )
+    report = detect_decoupling(log, pairing, meta, transitions_recovered=len(stream),
+                               separation=separation)
 
     warnings = list(pairing.warnings)
     if not separation.passed:
@@ -99,11 +89,11 @@ def analyze(
 
     software_summary = None
     external_summary = None
-    if report.validity in (ValidityClass.A, ValidityClass.B) and log.iterations.size:
+    if report.validity.supports_software_claims and log.iterations.size:
         software_summary = run_summary(
             log.latencies_ms, run_id=meta.run_id, condition=meta.condition
         )
-    if report.validity is ValidityClass.A and pairing.external_ms.size:
+    if report.validity.supports_external_claims and pairing.external_ms.size:
         external_summary = run_summary(
             pairing.external_ms, run_id=meta.run_id, condition=meta.condition
         )
@@ -153,7 +143,7 @@ def run_report_to_dict(rr: RunReport) -> dict:
         "run_id": rr.meta.run_id,
         "architecture": rr.meta.architecture,
         "condition": rr.meta.condition,
-        "validity": {"class": rr.validity.name, "label": rr.validity.label},
+        "validity": {"class": rr.validity.name, "label": rr.validity.value},
         "decoupling": report_to_dict(rr.report),
         "separation": separation_to_dict(rr.separation),
         "pairing": {
@@ -184,7 +174,7 @@ def run_report_to_json(rr: RunReport, path: str | Path | None = None) -> str:
 def run_report_to_text(rr: RunReport) -> str:
     lines = [
         f"run {rr.meta.run_id} ({rr.meta.architecture}, {rr.meta.condition})",
-        f"  validity: {rr.validity.name} ({rr.validity.label})",
+        f"  validity: {rr.validity.name} ({rr.validity.value})",
         f"  failure mode: {rr.report.failure_mode.value}"
         + (
             f" (loss fraction {rr.report.loss_fraction:.3f})"

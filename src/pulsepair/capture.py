@@ -156,6 +156,10 @@ class RunMetadata:
     gpio_line_verified_absent: bool = False
 
     def __post_init__(self) -> None:
+        if not self.marker_threshold_ms > 0:
+            raise IntegrityError(
+                f"marker_threshold_ms must be positive, got {self.marker_threshold_ms}"
+            )
         if self.marker_threshold_ms >= self.marker_width_ms:
             raise IntegrityError(
                 f"marker_threshold_ms ({self.marker_threshold_ms}) must be below "
@@ -242,11 +246,18 @@ def _located(path: Path, exc: IntegrityError) -> ValueError:
     return cls(f"{path}:{_data_lines(path)[1][exc.row]}: {exc}")
 
 
+#: Rows formatted per write: bounds the Python floats and text held at once.
+_CSV_CHUNK_ROWS = 1 << 14
+
+
 def _write_csv(path: str | Path, header: str, fmt: str, *columns: np.ndarray) -> None:
     """Write the header, then one line per row of `columns`, formatted with `fmt`."""
-    cells = np.column_stack(columns).ravel().tolist()
+    rows = np.column_stack(columns)
     with Path(path).open("w", newline="") as fh:
-        fh.write(header + "\n" + (fmt * columns[0].size) % tuple(cells))
+        fh.write(header + "\n")
+        for start in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
+            chunk = rows[start:start + _CSV_CHUNK_ROWS]
+            fh.write((fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +324,16 @@ def dump_software_log(log: SoftwareTimingLog, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Run metadata JSON
 
-_META_KEYS = (
-    "run_id",
-    "architecture",
-    "condition",
-    "marker_width_ms",
-    "marker_threshold_ms",
-    "iterations_expected",
-    "warmup_iterations",
-    "sample_period_s",
+#: Required metadata keys and the type each value must convert to.
+_META_FIELDS = (
+    ("run_id", str),
+    ("architecture", str),
+    ("condition", str),
+    ("marker_width_ms", float),
+    ("marker_threshold_ms", float),
+    ("iterations_expected", int),
+    ("warmup_iterations", int),
+    ("sample_period_s", float),
 )
 
 
@@ -329,33 +341,23 @@ def load_run_metadata(path: str | Path) -> RunMetadata:
     path = Path(path)
     with path.open() as fh:
         raw = json.load(fh)
-    missing = [k for k in _META_KEYS if k not in raw]
+    missing = [k for k, _ in _META_FIELDS if k not in raw]
     if missing:
         raise FormatError(f"{path}: missing metadata keys {missing}")
+    fields = {}
+    for key, convert in _META_FIELDS:
+        try:
+            fields[key] = convert(raw[key])
+        except (TypeError, ValueError):
+            raise FormatError(f"{path}: {key} is not a valid {convert.__name__}: "
+                              f"{raw[key]!r}") from None
     return RunMetadata(
-        run_id=str(raw["run_id"]),
-        architecture=str(raw["architecture"]),
-        condition=str(raw["condition"]),
-        marker_width_ms=float(raw["marker_width_ms"]),
-        marker_threshold_ms=float(raw["marker_threshold_ms"]),
-        iterations_expected=int(raw["iterations_expected"]),
-        warmup_iterations=int(raw["warmup_iterations"]),
-        sample_period_s=float(raw["sample_period_s"]),
-        gpio_line_verified_absent=bool(raw.get("gpio_line_verified_absent", False)),
+        **fields, gpio_line_verified_absent=bool(raw.get("gpio_line_verified_absent", False))
     )
 
 
 def dump_run_metadata(meta: RunMetadata, path: str | Path) -> None:
-    payload = {
-        "run_id": meta.run_id,
-        "architecture": meta.architecture,
-        "condition": meta.condition,
-        "marker_width_ms": meta.marker_width_ms,
-        "marker_threshold_ms": meta.marker_threshold_ms,
-        "iterations_expected": meta.iterations_expected,
-        "warmup_iterations": meta.warmup_iterations,
-        "sample_period_s": meta.sample_period_s,
-    }
+    payload = {key: getattr(meta, key) for key, _ in _META_FIELDS}
     if meta.gpio_line_verified_absent:
         payload["gpio_line_verified_absent"] = True
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

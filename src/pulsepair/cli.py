@@ -1,8 +1,8 @@
 """Command-line surface: analyze, condition, synth.
 
 Exit codes for `analyze` are a function of the validity class only:
-0 for classes A and B, 2 for class C, 3 for class D, and 1 for
-missing/malformed inputs.
+0 for classes A and B, 2 for class C, 3 for class D, and 1 for usage
+errors and missing/malformed inputs.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .stats import (
     ecdf_to_csv,
     format_condition_table,
 )
-from .synth import write_run_dir
-from .validity import ValidityClass
+from .synth import write_runs
+from .validity import ValidityClass, split_claim_views
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,6 +46,14 @@ _CLASS_EXIT = {
 }
 
 
+def positive(text: str) -> float:
+    """argparse type for a number that must be above zero."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pulsepair",
@@ -57,9 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("run_dir", type=Path)
     p_analyze.add_argument("--out", type=Path, default=None,
                            help="directory for report.json and report.txt")
-    p_analyze.add_argument("--marker-threshold-ms", type=float, default=None,
+    p_analyze.add_argument("--marker-threshold-ms", type=positive, default=None,
                            help="override the metadata classifier threshold")
-    p_analyze.add_argument("--min-margin", type=float, default=DEFAULT_MIN_MARGIN)
+    p_analyze.add_argument("--min-margin", type=positive, default=DEFAULT_MIN_MARGIN)
     p_analyze.add_argument("--format", choices=("json", "text"), default="text")
 
     p_cond = sub.add_parser("condition", help="aggregate several runs of one condition")
@@ -67,11 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cond.add_argument("--baseline", type=Path, nargs="+", default=None,
                         help="baseline run directories for the detectors")
     p_cond.add_argument("--out", type=Path, required=True, help="output directory")
-    p_cond.add_argument("--marker-threshold-ms", type=float, default=None)
-    p_cond.add_argument("--min-margin", type=float, default=DEFAULT_MIN_MARGIN)
-    p_cond.add_argument("--p99-ratio-threshold", type=float,
+    p_cond.add_argument("--marker-threshold-ms", type=positive, default=None)
+    p_cond.add_argument("--min-margin", type=positive, default=DEFAULT_MIN_MARGIN)
+    p_cond.add_argument("--p99-ratio-threshold", type=positive,
                         default=DEFAULT_P99_RATIO_THRESHOLD)
-    p_cond.add_argument("--sd-collapse-threshold", type=float,
+    p_cond.add_argument("--sd-collapse-threshold", type=positive,
                         default=DEFAULT_SD_COLLAPSE_THRESHOLD)
     p_cond.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -117,10 +125,15 @@ def cmd_condition(args: argparse.Namespace) -> int:
     except (FileNotFoundError, FormatError, IntegrityError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    for group in (reports, baseline_reports or ()):
+        conditions = sorted({r.meta.condition for r in group})
+        if len(conditions) > 1:
+            print(f"error: runs of more than one condition {conditions}; "
+                  "condition aggregates runs of one", file=sys.stderr)
+            return EXIT_ERROR
 
-    external_runs = [r for r in reports if r.validity is ValidityClass.A]
-    software_runs = [r for r in reports
-                     if r.validity in (ValidityClass.A, ValidityClass.B)]
+    views = split_claim_views(reports)
+    external_runs, software_runs = views.external, views.software_only
 
     payload: dict = {
         "runs": [run_report_to_dict(r) for r in reports],
@@ -223,14 +236,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    for run in runs:
-        write_run_dir(run, args.out_dir / run.meta.run_id)
+    write_runs(runs, args.out_dir)
     print(f"wrote {len(runs)} run(s) under {args.out_dir}")
     return EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed usage and the error; its exit 2 would read as class C
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     if args.command == "analyze":
         return cmd_analyze(args)
     if args.command == "condition":

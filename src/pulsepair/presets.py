@@ -25,6 +25,8 @@ from .capture import (
     RunMetadata,
 )
 from .synth import (
+    DEFAULT_GAP_MS,
+    DEFAULT_OVERHEAD_BOUND_MS,
     FaultKind,
     FaultSpec,
     Gaussian,
@@ -34,7 +36,7 @@ from .synth import (
     Spiked,
     gen_condition,
     gen_run,
-    write_run_dir,
+    write_runs,
 )
 
 #: GPU-engine inference is ~1.5 ms; a 200 ms marker with a 100 ms
@@ -66,6 +68,9 @@ ORT_MEMSTRESS_DIST = Mixture(
     )
 )
 ORT_COLLAPSED_DIST = Gaussian(mean_ms=198.32, sd_ms=3.5)
+
+#: GPU-engine runs draw each width's wrapper overhead from [0, 0.01] ms.
+TRT_OVERHEAD = FaultSpec(overhead_bound_ms=0.01)
 
 
 def _trt_meta(run_id: str, condition: str, warmup: int = 10) -> RunMetadata:
@@ -99,7 +104,7 @@ def trt_baseline(master_seed: int = 0) -> list[GeneratedRun]:
         _trt_meta("trt_baseline", COND_BASELINE),
         n_runs=5,
         master_seed=master_seed,
-        overhead_bound_ms=0.01,
+        fault=TRT_OVERHEAD,
     )
 
 
@@ -109,7 +114,7 @@ def trt_memstress(master_seed: int = 0) -> list[GeneratedRun]:
         _trt_meta("trt_memstress", COND_MEMORY_STRESS_LIGHT),
         n_runs=20,
         master_seed=master_seed,
-        overhead_bound_ms=0.01,
+        fault=TRT_OVERHEAD,
     )
 
 
@@ -192,12 +197,7 @@ def build_preset(name: str, master_seed: int = 0) -> list[GeneratedRun]:
 
 def write_preset(name: str, out_dir: str | Path, master_seed: int = 0) -> list[Path]:
     """Materialize a preset as run directories consumable by the analyzer."""
-    runs = build_preset(name, master_seed)
-    out = Path(out_dir)
-    paths = []
-    for run in runs:
-        paths.append(write_run_dir(run, out / run.meta.run_id))
-    return paths
+    return write_runs(build_preset(name, master_seed), out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +224,37 @@ def _dist_from_dict(raw: dict) -> LatencyDistSpec:
     raise ValueError(f"unknown distribution type {kind!r}")
 
 
-def _fault_from_dict(raw: dict | None) -> FaultSpec:
-    if not raw:
-        return FaultSpec()
+_FAULT_KEYS = ("kind", "drop_fraction", "marker_width_ms")
+
+
+def _fault_from_dict(raw: dict, overhead_bound_ms: float) -> FaultSpec:
+    unknown = sorted(set(raw) - set(_FAULT_KEYS))
+    if unknown:
+        raise ValueError(f"scenario fault: unknown key(s) {unknown}; known: {list(_FAULT_KEYS)} "
+                         "(the overhead bound is the top-level overhead_bound_ms)")
+    kind, known = raw.get("kind", "none"), [k.value for k in FaultKind]
+    if kind not in known:
+        raise ValueError(f"scenario fault: unknown kind {kind!r}; known: {known}")
     return FaultSpec(
-        kind=FaultKind(raw.get("kind", "none")),
+        kind=FaultKind(kind),
         drop_fraction=raw.get("drop_fraction"),
         marker_width_ms=raw.get("marker_width_ms"),
-        overhead_bound_ms=float(raw.get("overhead_bound_ms", 0.05)),
+        overhead_bound_ms=overhead_bound_ms,
     )
 
 
 def load_scenario(path: str | Path, master_seed: int | None = None) -> list[GeneratedRun]:
     """Build runs from a JSON scenario file.
 
-    Expected keys: dist, meta, n_runs; optional fault, master_seed,
-    gap_ms, overhead_bound_ms. The file's master_seed is overridden by
-    the argument when given.
+    Expected keys: dist, meta, n_runs; optional fault (kind,
+    drop_fraction, marker_width_ms), master_seed, gap_ms and
+    overhead_bound_ms, which sets the fault's bound. The file's
+    master_seed is overridden by the argument when given.
     """
     raw = json.loads(Path(path).read_text())
     dist = _dist_from_dict(raw["dist"])
-    fault = _fault_from_dict(raw.get("fault"))
+    fault = _fault_from_dict(raw.get("fault") or {},
+                             float(raw.get("overhead_bound_ms", DEFAULT_OVERHEAD_BOUND_MS)))
     m = raw["meta"]
     meta = RunMetadata(
         run_id=str(m.get("run_id_prefix", "scenario")),
@@ -257,10 +267,5 @@ def load_scenario(path: str | Path, master_seed: int | None = None) -> list[Gene
         sample_period_s=float(m.get("sample_period_s", 1e-7)),
     )
     seed = master_seed if master_seed is not None else int(raw.get("master_seed", 0))
-    kwargs = {}
-    if "overhead_bound_ms" in raw:
-        kwargs["overhead_bound_ms"] = float(raw["overhead_bound_ms"])
-    if "gap_ms" in raw:
-        kwargs["gap_ms"] = float(raw["gap_ms"])
-    return gen_condition(dist, meta, n_runs=int(raw["n_runs"]), master_seed=seed,
-                         fault=fault, **kwargs)
+    return gen_condition(dist, meta, n_runs=int(raw["n_runs"]), master_seed=seed, fault=fault,
+                         gap_ms=float(raw.get("gap_ms", DEFAULT_GAP_MS)))

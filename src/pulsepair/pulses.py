@@ -119,6 +119,8 @@ def validate_marker_separation(
     """
     if marker_width_ms <= 0:
         raise ValueError(f"marker_width_ms must be positive, got {marker_width_ms}")
+    if not min_margin > 0:
+        raise ValueError(f"min_margin must be positive, got {min_margin}")
     if len(observed_inference_widths_ms) == 0:
         return MarkerSeparationCheck(
             marker_width_ms=marker_width_ms,

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .capture import _write_csv
+
 DEFAULT_P99_RATIO_THRESHOLD = 1.10
 DEFAULT_SD_COLLAPSE_THRESHOLD = 0.25
 
@@ -52,10 +54,10 @@ class ConditionSummary:
     single_run_warning: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EcdfCurve:
-    values: tuple[float, ...]  # sorted sample values, ms
-    fractions: tuple[float, ...]  # rank/n at each value, ends at 1.0
+    values: np.ndarray  # sorted sample values, ms
+    fractions: np.ndarray  # rank/n at each value, ends at 1.0
 
 
 @dataclass(frozen=True)
@@ -154,15 +156,11 @@ def ecdf(latencies_ms: Sequence[float]) -> EcdfCurve:
     arr = np.sort(np.asarray(latencies_ms, dtype=float))
     if arr.size == 0:
         raise ValueError("cannot build an ECDF from an empty vector")
-    fractions = np.arange(1, arr.size + 1) / arr.size
-    return EcdfCurve(values=tuple(arr.tolist()), fractions=tuple(fractions.tolist()))
+    return EcdfCurve(values=arr, fractions=np.arange(1, arr.size + 1) / arr.size)
 
 
 def ecdf_to_csv(curve: EcdfCurve, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        fh.write("value_ms,fraction\n")
-        for v, f in zip(curve.values, curve.fractions):
-            fh.write(f"{v:.6f},{f:.6f}\n")
+    _write_csv(path, "value_ms,fraction", "%.6f,%.6f\n", curve.values, curve.fractions)
 
 
 def detect_tail_inflation(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,11 +107,16 @@ class FaultKind(enum.Enum):
     PARTIAL_LOSS = "partial_loss"
     EMPTY_CAPTURE = "empty_capture"
     MARKER_OVERLAP = "marker_overlap"
-    JITTER = "jitter"
 
 
 @dataclass(frozen=True)
 class FaultSpec:
+    """The injected external-channel fault and the wrapper overhead bound.
+
+    `overhead_bound_ms` is the one place the bound is set: each external
+    width is the software latency plus a uniform draw from [0, bound].
+    """
+
     kind: FaultKind = FaultKind.NONE
     drop_fraction: float | None = None  # partial_loss only, in (0, 1)
     marker_width_ms: float | None = None  # marker_overlap only
@@ -176,32 +181,23 @@ def gen_run(
     fault: FaultSpec = NO_FAULT,
     seed: int = 0,
     gap_ms: float = DEFAULT_GAP_MS,
-    overhead_bound_ms: float | None = None,
-    warmup_transient_ms: float | None = None,
 ) -> GeneratedRun:
     """Generate one paired run, deterministic for a fixed seed.
 
     The software log always carries iterations_expected rows regardless of
     the fault: faults degrade the external channel only, which is the
-    decoupling under study. `warmup_transient_ms` overrides the first
-    warmup pulse width to model a startup transient.
-
-    `overhead_bound_ms` defaults to the fault's bound; the jitter fault
-    exists purely to widen it.
+    decoupling under study.
     """
     rng = np.random.default_rng(seed)
     sp = meta.sample_period_s
-    bound_ms = fault.overhead_bound_ms if overhead_bound_ms is None else overhead_bound_ms
 
     marker_width_ms = meta.marker_width_ms
     if fault.kind is FaultKind.MARKER_OVERLAP:
         marker_width_ms = fault.marker_width_ms
 
     warmup = dist.sample(rng, meta.warmup_iterations)
-    if warmup_transient_ms is not None and meta.warmup_iterations > 0:
-        warmup[0] = warmup_transient_ms
     latencies = np.round(dist.sample(rng, meta.iterations_expected), 6)
-    overhead = rng.uniform(0.0, bound_ms, size=meta.iterations_expected)
+    overhead = rng.uniform(0.0, fault.overhead_bound_ms, size=meta.iterations_expected)
 
     # One pulse per warmup iteration, the marker, then one per iteration.
     # Pulse k starts a gap after pulse k-1 ends; accumulating left to right
@@ -249,9 +245,12 @@ def _expected_outcome(
 
     Partial loss is resolved against the realized drop count: dropping
     everything presents as post-marker collapse, dropping nothing as
-    healthy.
+    healthy. An empty capture on a line verified absent is a methodology
+    failure, not decoupling.
     """
     if fault.kind is FaultKind.EMPTY_CAPTURE:
+        if meta.gpio_line_verified_absent:
+            return FailureMode.GPIO_LINE_MISOBSERVATION, ValidityClass.D
         return FailureMode.COMPLETE_ACQUISITION_FAILURE, ValidityClass.B
     if fault.kind is FaultKind.POST_MARKER_COLLAPSE:
         return FailureMode.POST_MARKER_COLLAPSE, ValidityClass.B
@@ -272,26 +271,17 @@ def gen_condition(
     n_runs: int,
     master_seed: int = 0,
     fault: FaultSpec = NO_FAULT,
-    **gen_kwargs,
+    gap_ms: float = DEFAULT_GAP_MS,
 ) -> list[GeneratedRun]:
     """Generate n_runs independent runs, deterministic for a master seed."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     seeds = np.random.SeedSequence(master_seed).generate_state(n_runs)
-    runs = []
-    for i, seed in enumerate(seeds):
-        meta = RunMetadata(
-            run_id=f"{meta_template.run_id}_{i + 1:03d}",
-            architecture=meta_template.architecture,
-            condition=meta_template.condition,
-            marker_width_ms=meta_template.marker_width_ms,
-            marker_threshold_ms=meta_template.marker_threshold_ms,
-            iterations_expected=meta_template.iterations_expected,
-            warmup_iterations=meta_template.warmup_iterations,
-            sample_period_s=meta_template.sample_period_s,
-        )
-        runs.append(gen_run(dist, meta, fault=fault, seed=int(seed), **gen_kwargs))
-    return runs
+    return [
+        gen_run(dist, replace(meta_template, run_id=f"{meta_template.run_id}_{i + 1:03d}"),
+                fault=fault, seed=int(seed), gap_ms=gap_ms)
+        for i, seed in enumerate(seeds)
+    ]
 
 
 def write_run_dir(run: GeneratedRun, out_dir: str | Path) -> Path:
@@ -305,3 +295,8 @@ def write_run_dir(run: GeneratedRun, out_dir: str | Path) -> Path:
         json.dumps(run.truth.to_dict(), indent=2, sort_keys=True) + "\n"
     )
     return out
+
+
+def write_runs(runs: list[GeneratedRun], out_dir: str | Path) -> list[Path]:
+    """Write each run to `out_dir/<run_id>`; return the run directories."""
+    return [write_run_dir(run, Path(out_dir) / run.meta.run_id) for run in runs]

@@ -7,17 +7,17 @@ A run lands in exactly one of four classes:
   C  invalid runtime
   D  methodology failure
 
-External timing claims may use only class A. Software-only claims may
-additionally use class B. Nothing is deleted: class B runs are the
-evidence that the external channel can fail while the runtime looks
-healthy (observability decoupling).
+The claim rule lives on `ValidityClass`: external timing claims may use
+only class A; software-only claims may additionally use class B. Nothing
+is deleted: class B runs are the evidence that the external channel can
+fail while the runtime looks healthy (observability decoupling).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Generic, Sequence, TypeVar
 
 from .capture import RunMetadata, SoftwareTimingLog
 from .pulses import MarkerSeparationCheck, PairingResult
@@ -30,8 +30,14 @@ class ValidityClass(enum.Enum):
     D = "methodology failure"
 
     @property
-    def label(self) -> str:
-        return self.value
+    def supports_external_claims(self) -> bool:
+        """External timing claims may use class A only."""
+        return self is ValidityClass.A
+
+    @property
+    def supports_software_claims(self) -> bool:
+        """Software-only claims may use classes A and B."""
+        return self in (ValidityClass.A, ValidityClass.B)
 
 
 class FailureMode(enum.Enum):
@@ -75,7 +81,7 @@ def detect_decoupling(
     transitions_recovered: int,
     separation: MarkerSeparationCheck | None = None,
 ) -> DecouplingReport:
-    """Assign the external failure mode for one run.
+    """Assign the external failure mode and the validity class for one run.
 
     `transitions_recovered` is the raw edge count of the capture, before
     any pulse extraction. Rule order matters: an empty capture says
@@ -110,7 +116,7 @@ def detect_decoupling(
     else:
         mode = FailureMode.HEALTHY
 
-    return DecouplingReport(
+    report = DecouplingReport(
         run_id=meta.run_id,
         software_complete=log.complete,
         marker_found=pairing.marker_found,
@@ -120,21 +126,17 @@ def detect_decoupling(
         failure_mode=mode,
         loss_fraction=loss_fraction,
     )
+    return replace(report, validity=classify_run_validity(report))
 
 
-def classify_run_validity(
-    report: DecouplingReport, separation: MarkerSeparationCheck | None = None
-) -> ValidityClass:
+def classify_run_validity(report: DecouplingReport) -> ValidityClass:
     """Map a decoupling report to the four-way class. Precedence D > C > B > A.
 
     Methodology failures dominate: their statistics are untrustworthy
-    even when every row and pulse is present.
+    even when every row and pulse is present. A failed separation check
+    is one of them: it already set the failure mode to marker overlap.
     """
-    methodology_failure = report.failure_mode in (
-        FailureMode.MARKER_OVERLAP,
-        FailureMode.GPIO_LINE_MISOBSERVATION,
-    )
-    if methodology_failure or (separation is not None and not separation.passed):
+    if report.failure_mode in (FailureMode.MARKER_OVERLAP, FailureMode.GPIO_LINE_MISOBSERVATION):
         return ValidityClass.D
     if not report.software_complete:
         return ValidityClass.C
@@ -143,30 +145,19 @@ def classify_run_validity(
     return ValidityClass.B
 
 
-def finalize_report(
-    report: DecouplingReport, separation: MarkerSeparationCheck | None = None
-) -> DecouplingReport:
-    """Return the report with its validity class filled in."""
-    return replace(report, validity=classify_run_validity(report, separation))
+#: Anything with a `.validity`: a DecouplingReport or an analysis RunReport.
+Classified = TypeVar("Classified")
 
 
 @dataclass(frozen=True)
-class ClaimViews:
+class ClaimViews(Generic[Classified]):
     """The two defensible aggregation views over a classified corpus."""
 
-    external: tuple[DecouplingReport, ...]  # class A only
-    software_only: tuple[DecouplingReport, ...]  # classes A and B
+    external: tuple[Classified, ...]  # class A only
+    software_only: tuple[Classified, ...]  # classes A and B
 
 
-def filter_for_external_claims(
-    runs: Sequence[DecouplingReport],
-) -> tuple[DecouplingReport, ...]:
-    """Exactly the class-A subset; the only runs external claims may use."""
-    _require_classified(runs)
-    return tuple(r for r in runs if r.validity is ValidityClass.A)
-
-
-def split_claim_views(runs: Sequence[DecouplingReport]) -> ClaimViews:
+def split_claim_views(runs: Sequence[Classified]) -> ClaimViews[Classified]:
     """Split a classified corpus into external (A) and software-only (A+B) views.
 
     Classes C and D are excluded from both views but remain in the input;
@@ -174,14 +165,12 @@ def split_claim_views(runs: Sequence[DecouplingReport]) -> ClaimViews:
     """
     _require_classified(runs)
     return ClaimViews(
-        external=tuple(r for r in runs if r.validity is ValidityClass.A),
-        software_only=tuple(
-            r for r in runs if r.validity in (ValidityClass.A, ValidityClass.B)
-        ),
+        external=tuple(r for r in runs if r.validity.supports_external_claims),
+        software_only=tuple(r for r in runs if r.validity.supports_software_claims),
     )
 
 
-def _require_classified(runs: Sequence[DecouplingReport]) -> None:
+def _require_classified(runs: Sequence) -> None:
     for r in runs:
         if r.validity is None:
             raise ValueError(f"run {r.run_id} has no validity class; classify first")
@@ -200,5 +189,5 @@ def report_to_dict(report: DecouplingReport) -> dict:
         "decoupled": report.decoupled,
     }
     if report.validity is not None:
-        out["validity"] = {"class": report.validity.name, "label": report.validity.label}
+        out["validity"] = {"class": report.validity.name, "label": report.validity.value}
     return out

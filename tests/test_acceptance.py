@@ -4,6 +4,7 @@ Each test exercises one exit criterion at its stated tolerance and prints
 a single pass line; a failed assertion marks the criterion failed.
 """
 
+import dataclasses
 import json
 import time
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from pulsepair.analysis import analyze, analyze_run
-from pulsepair.capture import RunMetadata
+from pulsepair.capture import RunMetadata, TransitionStream
 from pulsepair.cli import main
 from pulsepair.presets import ORT_BASELINE_DIST, _ort_meta, build_preset, write_preset
 from pulsepair.pulses import extract_pulses
@@ -178,14 +179,21 @@ def test_criterion_7_pulse_extraction_properties(capsys):
         passed(7, "pulse-extraction properties")
 
 
+def with_warmup_transient(run, width_ms):
+    """The run with its first warmup pulse stretched to width_ms; later edges move with it."""
+    times = run.stream.times_s.copy()
+    times[1:] += width_ms * 1e-3 - (times[1] - times[0])
+    return dataclasses.replace(run, stream=TransitionStream(times, run.stream.initial_level))
+
+
 def test_criterion_8_warmup_structural_exclusion(capsys):
     meta = RunMetadata(
         run_id="warmup", architecture="gpu_engine", condition="baseline",
         marker_width_ms=200.0, marker_threshold_ms=100.0,
         iterations_expected=100, warmup_iterations=10,
     )
-    small = gen_run(Gaussian(1.228, 0.06), meta, seed=0, warmup_transient_ms=3.21)
-    large = gen_run(Gaussian(1.228, 0.06), meta, seed=0, warmup_transient_ms=40.0)
+    small = with_warmup_transient(gen_run(Gaussian(1.228, 0.06), meta, seed=0), 3.21)
+    large = with_warmup_transient(gen_run(Gaussian(1.228, 0.06), meta, seed=0), 40.0)
 
     rr_small = analyze(small.log, small.stream, small.meta)
     rr_large = analyze(large.log, large.stream, large.meta)

@@ -93,6 +93,46 @@ class TestAnalyzeExitCodes:
         assert "sample_period_s must be positive" in capsys.readouterr().err
 
 
+def _bad_metadata(**fields):
+    """argv analyzing a copy of trt_baseline_001 whose metadata has `fields` changed."""
+    def argv(corpora, tmp_path):
+        src = corpora / "base" / "trt_baseline_001"
+        dst = tmp_path / "bad_meta"
+        dst.mkdir()
+        for name in ("software.csv", "transitions.csv"):
+            (dst / name).write_text((src / name).read_text())
+        meta = json.loads((src / "metadata.json").read_text())
+        (dst / "metadata.json").write_text(json.dumps({**meta, **fields}))
+        return ["analyze", str(dst)]
+    return argv
+
+
+#: Inputs that are wrong before any run is classified. Exit 2 and 3 name a
+#: validity class, so each of these must exit 1.
+BAD_INPUTS = {
+    "usage_error": lambda c, t: ["analyze", str(c / "base" / "trt_baseline_001"),
+                                 "--min-margn", "3"],
+    "non_numeric_metadata": _bad_metadata(marker_width_ms="wide"),
+    "negative_metadata_threshold": _bad_metadata(marker_threshold_ms=-5.0),
+    "negative_threshold": lambda c, t: ["analyze", str(c / "base" / "trt_baseline_001"),
+                                        "--marker-threshold-ms", "-1"],
+    "zero_min_margin": lambda c, t: ["analyze", str(c / "base" / "trt_baseline_001"),
+                                     "--min-margin", "0"],
+    "mixed_conditions": lambda c, t: ["condition", str(c / "base" / "trt_baseline_001"),
+                                      str(c / "trio" / "storage_stress_002"),
+                                      "--out", str(t / "rep")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_one_with_one_error_line(case, corpora, tmp_path, capsys):
+    rc = main(BAD_INPUTS[case](corpora, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestAnalyzeReports:
     def test_reports_are_byte_stable(self, corpora, tmp_path, capsys):
         d = str(corpora / "trio" / "storage_stress_002")
@@ -222,3 +262,28 @@ class TestSynthCommand:
         assert [d.name for d in dirs] == ["custom_001", "custom_002"]
         rc = main(["analyze", str(dirs[0])])
         assert rc == 0
+
+    @pytest.mark.parametrize("fault,key", [
+        ({"kind": "none", "overhead_bound_ms": 0.1}, "overhead_bound_ms"),
+        ({"kind": "jitter"}, "kind"),
+    ], ids=["bound_inside_fault", "jitter_kind"])
+    def test_scenario_fault_keys_are_not_ignored(self, fault, key, tmp_path, capsys):
+        scenario = {
+            "n_runs": 1,
+            "dist": {"type": "gaussian", "mean_ms": 2.0, "sd_ms": 0.1},
+            "meta": {
+                "architecture": "other",
+                "condition": "baseline",
+                "marker_width_ms": 100.0,
+                "marker_threshold_ms": 50.0,
+                "iterations_expected": 20,
+                "warmup_iterations": 5,
+            },
+            "fault": fault,
+        }
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(scenario))
+        assert main(["synth", str(spec), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()

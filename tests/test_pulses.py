@@ -147,6 +147,12 @@ class TestMarkerSeparation:
         with pytest.raises(ValueError):
             validate_marker_separation(0.0, [1.0])
 
+    @pytest.mark.parametrize("min_margin", [0.0, -1.0])
+    def test_nonpositive_min_margin_rejected(self, min_margin):
+        # a margin of 0 would pass every separation check
+        with pytest.raises(ValueError, match="min_margin"):
+            validate_marker_separation(200.0, [1.0], min_margin=min_margin)
+
 
 def classified_run(n_inference, warmup=0, extra_markers=0):
     """Pulse widths (ms) and the marker mask of one classified run."""

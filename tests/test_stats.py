@@ -121,12 +121,12 @@ class TestConditionSummary:
 class TestEcdf:
     def test_single_value(self):
         curve = ecdf([2.0])
-        assert curve.values == (2.0,) and curve.fractions == (1.0,)
+        assert curve.values.tolist() == [2.0] and curve.fractions.tolist() == [1.0]
 
     def test_four_values(self):
         curve = ecdf([4.0, 1.0, 3.0, 2.0])
-        assert curve.values == (1.0, 2.0, 3.0, 4.0)
-        assert curve.fractions == (0.25, 0.5, 0.75, 1.0)
+        assert curve.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert curve.fractions.tolist() == [0.25, 0.5, 0.75, 1.0]
 
     def test_matches_rank_oracle(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 
@@ -16,7 +17,7 @@ from pulsepair.synth import (
     gen_run,
     write_run_dir,
 )
-from pulsepair.validity import FailureMode
+from pulsepair.validity import FailureMode, ValidityClass
 
 
 def trt_meta(run_id="run", warmup=10, iterations=100):
@@ -118,11 +119,6 @@ class TestGenRun:
         b = gen_run(DIST, trt_meta(), seed=2)
         assert not np.array_equal(a.log.latencies_ms, b.log.latencies_ms)
 
-    def test_warmup_transient_override(self):
-        run = gen_run(DIST, trt_meta(), seed=0, warmup_transient_ms=3.21)
-        first_warmup_ms = (run.stream.times_s[1] - run.stream.times_s[0]) * 1e3
-        assert first_warmup_ms == pytest.approx(3.21, abs=0.001)
-
     def test_statistical_recovery_of_mean(self):
         run = gen_run(Gaussian(mean_ms=10.0, sd_ms=0.5), trt_meta(iterations=400), seed=7)
         lat = np.array(run.truth.true_latencies_ms)
@@ -135,12 +131,13 @@ class TestOracleClosure:
         "fault",
         [
             FaultSpec(),
-            FaultSpec(kind=FaultKind.JITTER, overhead_bound_ms=0.1),
+            FaultSpec(overhead_bound_ms=0.1),
             FaultSpec(kind=FaultKind.POST_MARKER_COLLAPSE),
             FaultSpec(kind=FaultKind.PARTIAL_LOSS, drop_fraction=0.4),
             FaultSpec(kind=FaultKind.EMPTY_CAPTURE),
         ],
-        ids=lambda f: f.kind.value,
+        ids=["none", "wide_overhead_bound", "post_marker_collapse", "partial_loss",
+             "empty_capture"],
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pipeline_recovers_injected_failure_mode(self, fault, seed):
@@ -190,6 +187,19 @@ class TestGenCondition:
     def test_single_run(self):
         runs = gen_condition(DIST, trt_meta(), n_runs=1, master_seed=0)
         assert len(runs) == 1
+
+    def test_gpio_line_verified_absent_reaches_every_run(self):
+        # An empty capture on a line verified absent is a methodology
+        # failure (D), never a decoupling finding (B).
+        template = dataclasses.replace(trt_meta(), gpio_line_verified_absent=True)
+        fault = FaultSpec(kind=FaultKind.EMPTY_CAPTURE)
+        runs = gen_condition(DIST, template, n_runs=2, fault=fault)
+        for run in [*runs, gen_run(DIST, template, fault=fault)]:
+            rr = analyze(run.log, run.stream, run.meta)
+            assert rr.report.failure_mode is FailureMode.GPIO_LINE_MISOBSERVATION
+            assert rr.validity is ValidityClass.D
+            assert run.truth.expected_failure_mode is rr.report.failure_mode
+            assert run.truth.expected_validity is rr.validity
 
     def test_zero_runs_rejected(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,6 @@ from pulsepair.validity import (
     ValidityClass,
     classify_run_validity,
     detect_decoupling,
-    filter_for_external_claims,
-    finalize_report,
     report_to_dict,
     split_claim_views,
 )
@@ -111,11 +109,12 @@ class TestDetectDecoupling:
 
 class TestClassifyValidity:
     def test_healthy_and_separated_is_a(self):
-        rep = detect_decoupling(
-            log_with(100), pairing_with(100, 0), meta(), transitions_recovered=202
-        )
         sep = validate_marker_separation(200.0, [1.6])
-        assert classify_run_validity(rep, sep) is ValidityClass.A
+        rep = detect_decoupling(
+            log_with(100), pairing_with(100, 0), meta(), transitions_recovered=202,
+            separation=sep,
+        )
+        assert classify_run_validity(rep) is ValidityClass.A
 
     @pytest.mark.parametrize(
         "pairs,unmatched,transitions",
@@ -141,7 +140,7 @@ class TestClassifyValidity:
             log_with(100), pairing_with(100, 0), meta(), transitions_recovered=202,
             separation=sep,
         )
-        assert classify_run_validity(rep, sep) is ValidityClass.D
+        assert classify_run_validity(rep) is ValidityClass.D
 
     def test_d_takes_precedence_over_c(self):
         sep = validate_marker_separation(200.0, [249.56])
@@ -149,7 +148,7 @@ class TestClassifyValidity:
             log_with(87), pairing_with(87, 0), meta(), transitions_recovered=176,
             separation=sep,
         )
-        assert classify_run_validity(rep, sep) is ValidityClass.D
+        assert classify_run_validity(rep) is ValidityClass.D
 
     def test_degrading_external_stream_never_improves_class(self):
         # same complete log, progressively fewer paired pulses
@@ -193,7 +192,7 @@ class TestClaimFiltering:
         ]
 
     def test_external_view_is_class_a_only(self):
-        ext = filter_for_external_claims(self.corpus())
+        ext = split_claim_views(self.corpus()).external
         assert [r.run_id for r in ext] == ["a1", "a2"]
 
     def test_views_split(self):
@@ -203,7 +202,7 @@ class TestClaimFiltering:
 
     def test_all_a_is_identity(self):
         runs = [classified(FailureMode.HEALTHY, ValidityClass.A, f"a{i}") for i in range(3)]
-        assert filter_for_external_claims(runs) == tuple(runs)
+        assert split_claim_views(runs).external == tuple(runs)
 
     def test_all_d_yields_empty_views(self):
         runs = [classified(FailureMode.MARKER_OVERLAP, ValidityClass.D, f"d{i}") for i in range(3)]
@@ -213,13 +212,11 @@ class TestClaimFiltering:
     def test_unclassified_runs_rejected(self):
         rep = dataclasses.replace(self.corpus()[0], validity=None)
         with pytest.raises(ValueError, match="no validity class"):
-            filter_for_external_claims([rep])
+            split_claim_views([rep])
 
 
 def test_report_serialization_includes_class_letter():
-    rep = finalize_report(
-        detect_decoupling(log_with(100), pairing_with(60, 40), meta(), transitions_recovered=122)
-    )
+    rep = detect_decoupling(log_with(100), pairing_with(60, 40), meta(), transitions_recovered=122)
     d = report_to_dict(rep)
     assert d["validity"]["class"] == "B"
     assert d["failure_mode"] == "partial_transition_loss"
