@@ -83,9 +83,9 @@ def analyze(
     if extraction.orphan_edges:
         warnings.append(f"{extraction.orphan_edges} orphan edge(s) at capture boundaries")
     if not log.complete:
-        warnings.append(
-            f"software log incomplete: {log.iterations.size} of {log.iterations_expected} rows"
-        )
+        its, n = log.iterations, log.iterations_expected
+        indexed = f", indices {its[0]}..{its[-1]} (expected 0..{n - 1})" if its.size else ""
+        warnings.append(f"software log incomplete: {its.size} of {n} rows{indexed}")
 
     software_summary = None
     external_summary = None

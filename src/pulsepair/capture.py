@@ -128,7 +128,12 @@ class SoftwareTimingLog:
 
     @property
     def complete(self) -> bool:
-        return self.iterations.size == self.iterations_expected
+        """Indices are exactly 0 .. iterations_expected - 1.
+
+        They are strictly ascending, so the count and both ends settle it.
+        """
+        its, n = self.iterations, self.iterations_expected
+        return its.size == n and (n == 0 or (int(its[0]), int(its[-1])) == (0, n - 1))
 
     @property
     def rows(self) -> np.ndarray:
@@ -324,6 +329,13 @@ def dump_software_log(log: SoftwareTimingLog, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Run metadata JSON
 
+def integer(value) -> int:
+    """A count from JSON: an int, or a float with no fractional part; never a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integral number: {value!r}")
+    return int(value)
+
+
 #: Required metadata keys and the type each value must convert to.
 _META_FIELDS = (
     ("run_id", str),
@@ -331,8 +343,8 @@ _META_FIELDS = (
     ("condition", str),
     ("marker_width_ms", float),
     ("marker_threshold_ms", float),
-    ("iterations_expected", int),
-    ("warmup_iterations", int),
+    ("iterations_expected", integer),
+    ("warmup_iterations", integer),
     ("sample_period_s", float),
 )
 

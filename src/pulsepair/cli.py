@@ -8,6 +8,7 @@ errors and missing/malformed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -54,7 +55,13 @@ def positive(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Reuse is safe: the parser depends on no input, no action mutates a
+    default, and each `parse_args` call fills a fresh Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="pulsepair",
         description="Validate software-reported latency against externally observed pulses.",
@@ -99,14 +106,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except (FileNotFoundError, FormatError, IntegrityError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        run_report_to_json(rr, args.out / "report.json")
-        (args.out / "report.txt").write_text(run_report_to_text(rr) + "\n")
-    if args.format == "json":
-        print(run_report_to_json(rr))
+    text = run_report_to_text(rr)
+    if args.out is None:
+        encoded = run_report_to_json(rr) if args.format == "json" else None
     else:
-        print(run_report_to_text(rr))
+        args.out.mkdir(parents=True, exist_ok=True)
+        encoded = run_report_to_json(rr, args.out / "report.json")
+        (args.out / "report.txt").write_text(text + "\n")
+    print(encoded if args.format == "json" else text)
     return _CLASS_EXIT[rr.validity]
 
 
@@ -131,6 +138,11 @@ def cmd_condition(args: argparse.Namespace) -> int:
             print(f"error: runs of more than one condition {conditions}; "
                   "condition aggregates runs of one", file=sys.stderr)
             return EXIT_ERROR
+    architectures = sorted({r.meta.architecture for r in (*reports, *(baseline_reports or ()))})
+    if len(architectures) > 1:
+        print(f"error: runs of more than one architecture {architectures}; "
+              "condition and --baseline take runs of one", file=sys.stderr)
+        return EXIT_ERROR
 
     views = split_claim_views(reports)
     external_runs, software_runs = views.external, views.software_only
@@ -212,13 +224,10 @@ def cmd_condition(args: argparse.Namespace) -> int:
             payload["detectors"]["regime_shift"] = flags
 
     text = "\n\n".join(table_sections) + "\n"
-    (args.out / "condition_report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    encoded = json.dumps(payload, indent=2, sort_keys=True)
+    (args.out / "condition_report.json").write_text(encoded + "\n")
     (args.out / "condition_table.txt").write_text(text)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(encoded if args.format == "json" else text)
     return EXIT_OK
 
 

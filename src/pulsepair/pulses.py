@@ -60,6 +60,7 @@ class PairingResult:
     Pair k is (iterations[k], software_ms[k], external_ms[k]).
     `inference_pulses` counts every post-marker inference pulse the
     capture holds, paired or not; the unmatched fields are counts.
+    `extra_markers` counts the marker-width pulses after the first one.
     """
 
     iterations: np.ndarray
@@ -70,6 +71,7 @@ class PairingResult:
     inference_pulses: int
     marker_found: bool
     pre_marker_pulses: int
+    extra_markers: int
     warnings: tuple[str, ...] = ()
 
     @property
@@ -145,8 +147,8 @@ def pair_intervals(
 ) -> PairingResult:
     """Pair software rows with post-marker inference pulses by index.
 
-    The first marker anchors the pairing; extra markers are surfaced, not
-    fatal, since they are the signature of marker/inference overlap. All
+    The first marker anchors the pairing; extra markers are counted and
+    surfaced here, and classified as marker overlap downstream. All
     degradation lands in the result rather than raising: runs where
     pairing collapses are exactly the data of interest. Pre-marker
     (warmup) pulses are structurally excluded and never paired.
@@ -166,6 +168,7 @@ def pair_intervals(
             inference_pulses=0,
             marker_found=False,
             pre_marker_pulses=0,
+            extra_markers=0,
             warnings=warnings,
         )
 
@@ -187,5 +190,6 @@ def pair_intervals(
         inference_pulses=inference.size,
         marker_found=True,
         pre_marker_pulses=first,
+        extra_markers=extra_markers,
         warnings=warnings,
     )

@@ -86,7 +86,10 @@ def detect_decoupling(
     `transitions_recovered` is the raw edge count of the capture, before
     any pulse extraction. Rule order matters: an empty capture says
     nothing about markers, and a failed separation check poisons the
-    pairing before pulse counts mean anything.
+    pairing before pulse counts mean anything. So does a marker-width
+    pulse after the first marker: it is a marker and an inference pulse
+    the classifier cannot tell apart, whatever the separation check saw
+    (with every pulse above the threshold it sees nothing and passes).
 
     Loss is judged from the post-marker inference pulses the capture
     holds, not from the pairs formed, so a short software log is never
@@ -104,7 +107,7 @@ def detect_decoupling(
             # Deliberately no device-vs-host cause attribution: an empty
             # trace is ambiguous and stays that way.
             mode = FailureMode.COMPLETE_ACQUISITION_FAILURE
-    elif separation is not None and not separation.passed:
+    elif pairing.extra_markers or (separation is not None and not separation.passed):
         mode = FailureMode.MARKER_OVERLAP
     elif not pairing.marker_found:
         mode = FailureMode.PAIRING_FAILURE

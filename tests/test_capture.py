@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -165,6 +167,16 @@ class TestSoftwareLogLoad:
         assert not log.complete
         assert log.iterations.size == 87
 
+    @pytest.mark.parametrize("indices", [
+        [*range(50), *range(51, 101)],  # a gap at 50, then one index past the end
+        [*range(1, 101)],
+    ], ids=["gap", "shifted"])
+    def test_log_not_indexed_from_zero_to_n_minus_one_is_incomplete(self, tmp_path, indices):
+        body = "iteration,latency_ms\n" + "".join(f"{i},1.5\n" for i in indices)
+        log = load_software_log(write(tmp_path, "s.csv", body), expected=100)
+        assert log.iterations.size == 100
+        assert not log.complete
+
     def test_negative_latency_rejected(self, tmp_path):
         p = write(tmp_path, "s.csv", "iteration,latency_ms\n0,-1.0\n")
         with pytest.raises(FormatError, match="positive finite"):
@@ -229,6 +241,23 @@ class TestRunMetadata:
         p = tmp_path / "m.json"
         dump_run_metadata(meta, p)
         assert load_run_metadata(p) == meta
+
+    @pytest.mark.parametrize("key,value", [
+        ("iterations_expected", 100.9),
+        ("iterations_expected", True),
+        ("warmup_iterations", 2.5),
+        ("warmup_iterations", False),
+    ])
+    def test_non_integral_count_rejected(self, tmp_path, key, value):
+        raw = {**dataclasses.asdict(self.meta()), key: value}
+        p = write(tmp_path, "m.json", json.dumps(raw))
+        with pytest.raises(FormatError, match=f"m.json: {key} is not a valid integer"):
+            load_run_metadata(p)
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        raw = {**dataclasses.asdict(self.meta()), "iterations_expected": 100.0}
+        p = write(tmp_path, "m.json", json.dumps(raw))
+        assert load_run_metadata(p) == self.meta()
 
     def test_missing_key_rejected(self, tmp_path):
         p = write(tmp_path, "m.json", '{"run_id": "x"}')

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pulsepair.cli import main
+from pulsepair.cli import _build_parser, main
 from pulsepair.presets import write_preset
 
 
@@ -12,6 +12,7 @@ def corpora(tmp_path_factory):
     write_preset("trt_baseline", root / "base", master_seed=0)
     write_preset("storage_stress_trio", root / "trio", master_seed=0)
     write_preset("marker_overlap_demo", root / "overlap", master_seed=0)
+    write_preset("ort_baseline", root / "ort", master_seed=0)
     return root
 
 
@@ -59,6 +60,33 @@ class TestAnalyzeExitCodes:
         assert payload["validity"]["class"] == "C"
         assert payload["decoupling"]["failure_mode"] == "healthy"
         assert payload["decoupling"]["loss_fraction"] is None
+
+    def test_gapped_software_log_is_class_c(self, corpora, tmp_path, capsys):
+        # Indices 0-49 and 51-100: the right row count, but not range(100).
+        src = corpora / "base" / "trt_baseline_001"
+        dst = tmp_path / "gapped"
+        dst.mkdir()
+        lines = (src / "software.csv").read_text().splitlines()
+        rows = [f"{i if i < 50 else i + 1},{line.split(',')[1]}"
+                for i, line in enumerate(lines[1:])]
+        (dst / "software.csv").write_text("\n".join([lines[0], *rows]) + "\n")
+        (dst / "transitions.csv").write_text((src / "transitions.csv").read_text())
+        (dst / "metadata.json").write_text((src / "metadata.json").read_text())
+        assert main(["analyze", str(dst), "--format", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["validity"]["class"] == "C"
+        assert payload["decoupling"]["software_complete"] is False
+
+    def test_threshold_below_inference_widths_is_class_d(self, corpora, capsys):
+        # Every pulse classifies as a marker, so no inference width reaches
+        # the separation check; the extra markers must still make it D, not
+        # the paper's B / post_marker_collapse finding.
+        rc = main(["analyze", str(corpora / "base" / "trt_baseline_001"),
+                   "--marker-threshold-ms", "0.5", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 3
+        assert payload["validity"]["class"] == "D"
+        assert payload["decoupling"]["failure_mode"] == "marker_overlap"
 
     def test_marker_overlap_exits_three(self, corpora, capsys):
         rc = main(["analyze", str(corpora / "overlap" / "marker_overlap_demo_001")])
@@ -121,6 +149,14 @@ BAD_INPUTS = {
     "mixed_conditions": lambda c, t: ["condition", str(c / "base" / "trt_baseline_001"),
                                       str(c / "trio" / "storage_stress_002"),
                                       "--out", str(t / "rep")],
+    "fractional_iterations": _bad_metadata(iterations_expected=100.9),
+    "boolean_warmup": _bad_metadata(warmup_iterations=True),
+    "mixed_architectures": lambda c, t: ["condition", str(c / "base" / "trt_baseline_001"),
+                                         str(c / "ort" / "ort_baseline_001"),
+                                         "--out", str(t / "rep")],
+    "baseline_of_another_architecture": lambda c, t: [
+        "condition", str(c / "base" / "trt_baseline_001"),
+        "--baseline", str(c / "ort" / "ort_baseline_001"), "--out", str(t / "rep")],
 }
 
 
@@ -131,6 +167,30 @@ def test_bad_input_exits_one_with_one_error_line(case, corpora, tmp_path, capsys
     assert rc == 1
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_usage_error_does_not_affect_the_next_call(self, corpora, capsys):
+        run = run_dirs(corpora / "base")[0]
+        assert main(["analyze", run, "--format", "json"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["analyze", run, "--min-margn", "3"]) == 1
+        capsys.readouterr()
+        assert main(["analyze", run, "--format", "json"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_threshold_override_does_not_carry_over(self, corpora, capsys):
+        run = str(corpora / "base" / "trt_baseline_001")
+        assert main(["analyze", run, "--format", "json"]) == 0
+        plain = capsys.readouterr().out
+        main(["analyze", run, "--marker-threshold-ms", "0.5", "--format", "json"])
+        overridden = json.loads(capsys.readouterr().out)
+        assert overridden["validity"]["class"] != "A"  # every pulse is at least 0.5 ms wide
+        assert main(["analyze", run, "--format", "json"]) == 0
+        assert capsys.readouterr().out == plain
 
 
 class TestAnalyzeReports:

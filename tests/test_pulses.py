@@ -176,6 +176,11 @@ class TestPairIntervals:
         # order-preserving: the k-th pulse pairs with the k-th row
         assert res.iterations.tolist() == list(range(60))
 
+    def test_extra_markers_are_counted(self):
+        res = pair_intervals(make_log(100), *classified_run(100, extra_markers=2))
+        assert res.extra_markers == 2
+        assert pair_intervals(make_log(100), *classified_run(100)).extra_markers == 0
+
     def test_post_marker_collapse_pairing(self):
         res = pair_intervals(make_log(100), *classified_run(0))
         assert res.iterations.size == 0

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pulsepair.analysis import analyze
 from pulsepair.capture import RunMetadata
+from pulsepair.pulses import DEFAULT_MIN_MARGIN, extract_pulses
 from pulsepair.synth import (
     FaultKind,
     FaultSpec,
@@ -175,6 +177,33 @@ class TestOracleClosure:
         bound_ms = 0.05 + 2 * run.meta.sample_period_s * 1e3
         for _, sw, ext in rr.pairing.pairs:
             assert abs(ext - sw) <= bound_ms
+
+
+@settings(deadline=None)
+@given(
+    mean_ms=st.floats(1.0, 300.0),
+    sd_frac=st.floats(0.0, 0.3),
+    marker_over_mean=st.floats(0.5, 4.0),
+    threshold_frac=st.floats(0.01, 0.99),
+    warmup=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_violated_marker_separation_is_never_a_or_b(
+    mean_ms, sd_frac, marker_over_mean, threshold_frac, warmup, seed
+):
+    """A run whose configured marker is not min_margin times wider than every
+    other pulse it emits is never class A or B, whatever the threshold."""
+    marker_ms = marker_over_mean * mean_ms
+    meta = RunMetadata(
+        run_id="sep", architecture="gpu_engine", condition="baseline",
+        marker_width_ms=marker_ms, marker_threshold_ms=threshold_frac * marker_ms,
+        iterations_expected=50, warmup_iterations=warmup,
+    )
+    run = gen_run(Gaussian(mean_ms, sd_frac * mean_ms), meta, seed=seed)
+    others = np.delete(extract_pulses(run.stream).widths_ms, warmup)  # all but the marker
+    assume(marker_ms < DEFAULT_MIN_MARGIN * others.max())
+    rr = analyze(run.log, run.stream, run.meta)
+    assert rr.validity not in (ValidityClass.A, ValidityClass.B)
 
 
 class TestGenCondition:

@@ -37,16 +37,17 @@ def log_with(n_rows, expected=100):
     )
 
 
-def pairing_with(pairs, unmatched, marker_found=True):
+def pairing_with(pairs, unmatched, marker_found=True, extra_markers=0):
     return PairingResult(
         iterations=np.arange(pairs),
         software_ms=np.full(pairs, 1.5),
         external_ms=np.full(pairs, 1.52),
         unmatched_software=unmatched,
-        unmatched_pulses=0,
+        unmatched_pulses=extra_markers,
         inference_pulses=pairs,
         marker_found=marker_found,
         pre_marker_pulses=0,
+        extra_markers=extra_markers,
     )
 
 
@@ -105,6 +106,18 @@ class TestDetectDecoupling:
             separation=sep,
         )
         assert rep.failure_mode is FailureMode.MARKER_OVERLAP
+
+    @pytest.mark.parametrize("pairs", [0, 100])
+    def test_extra_markers_are_marker_overlap(self, pairs):
+        # A separation check that saw no inference pulse passes vacuously;
+        # marker-width pulses after the anchor still mean overlap.
+        sep = validate_marker_separation(200.0, [])
+        rep = detect_decoupling(
+            log_with(100), pairing_with(pairs, 100 - pairs, extra_markers=110), meta(),
+            transitions_recovered=222, separation=sep,
+        )
+        assert rep.failure_mode is FailureMode.MARKER_OVERLAP
+        assert rep.validity is ValidityClass.D
 
 
 class TestClassifyValidity:
