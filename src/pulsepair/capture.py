@@ -251,18 +251,91 @@ def _located(path: Path, exc: IntegrityError) -> ValueError:
     return cls(f"{path}:{_data_lines(path)[1][exc.row]}: {exc}")
 
 
-#: Rows formatted per write: bounds the Python floats and text held at once.
+#: Rows formatted per write: bounds the digit matrices held at once.
 _CSV_CHUNK_ROWS = 1 << 14
 
+#: The four ASCII digits of 0 .. 9999, one uint32 each, so one lookup renders four digits.
+#: Built from the 100 digit pairs, so no temporary of 10^4 x 4 ints raises peak RSS at import.
+_PAIRS = (np.arange(100, dtype=np.uint8)[:, None] // np.array([10, 1], np.uint8) % 10
+          + ord("0")).view(np.uint16).ravel()
+_QUADS = np.stack((np.repeat(_PAIRS, 100), np.tile(_PAIRS, 100)), axis=1).view(np.uint32).ravel()
 
-def _write_csv(path: str | Path, header: str, fmt: str, *columns: np.ndarray) -> None:
-    """Write the header, then one line per row of `columns`, formatted with `fmt`."""
-    rows = np.column_stack(columns)
-    with Path(path).open("w", newline="") as fh:
-        fh.write(header + "\n")
-        for start in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
-            chunk = rows[start:start + _CSV_CHUNK_ROWS]
-            fh.write((fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+def _cells(values: np.ndarray, decimals: int | None, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes `%.<decimals>f` (or `%d` for None) gives each value, followed by `end`.
+
+    Returns a uint8 matrix, one right-aligned cell per row, and the mask
+    of its non-blank bytes. A float is scaled to the integer `rint(|x|·10^N)`,
+    which is the decimal rounding `%` makes of the binary value unless the
+    product `y`'s rounding error (at most `y·2^-53`) could reach a
+    half-integer: its fraction lies within `y·2^-50 + 2^-40` of 0.5. Those
+    values, the exact ties and every huge value among them, take their
+    text from `%` itself.
+    """
+    point = decimals or 0
+    if decimals is None:
+        neg = values < 0
+        mag = np.abs(values).astype(np.uint64)  # |-2**63| wraps to -2**63, read as 2**63
+        fallback = np.zeros(0, dtype=np.intp)
+    else:
+        neg = np.signbit(values)
+        y = np.minimum(np.abs(values), 2.0 ** 60) * 10.0 ** decimals  # finite
+        near = np.rint(y)
+        # From y = 2**49 up the band covers every fraction: huge values fall back too.
+        fallback = np.flatnonzero(np.abs(y - near) >= 0.5 - 2.0 ** -40 - y * 2.0 ** -50)
+        near[fallback] = 0.0
+        mag = near.astype(np.uint64)
+    digits = max(len(str(mag.max(initial=0))), point + 1)  # at least "0" before the point
+    quads = -(-digits // 4)
+    texts = [b"%.*f" % (decimals, v) for v in values[fallback].tolist()]
+    lead = digits - point
+    width = max(1 + digits + (point > 0), max(map(len, texts), default=0)) + 1
+
+    block = np.empty((values.size, quads), dtype=np.uint32)
+    rest = mag
+    for j in range(quads - 1, -1, -1):
+        div = rest // 10_000
+        block[:, j] = _QUADS.take(rest - div * 10_000)
+        rest = div
+    chars = block.view(np.uint8)[:, 4 * quads - digits:]
+    mat = np.empty((values.size, width), dtype=np.uint8)
+    mask = np.zeros((values.size, width), dtype=bool)
+    tail = width - 1 - point - (point > 0)  # the column right of the units digit
+    mat[:, tail - lead:tail] = chars[:, :lead]
+    for k in range(1, lead):  # a digit left of the units shows when mag reaches it
+        np.greater_equal(mag, 10 ** (point + k), out=mask[:, tail - 1 - k])
+    mask[:, tail - 1:] = True
+    if point:
+        mat[:, tail] = ord(".")
+        mat[:, tail + 1:-1] = chars[:, lead:]
+    mat[:, -1] = ord(end)
+    mat[:, 0], mask[:, 0] = ord("-"), neg
+    if texts:
+        padded = np.frombuffer(b"".join(t.rjust(width - 1) for t in texts), dtype=np.uint8)
+        mat[fallback, :-1] = padded.reshape(len(texts), width - 1)
+        mask[fallback, :-1] = mat[fallback, :-1] != ord(" ")
+    return mat, mask
+
+
+def _write_csv(path: str | Path, header: str, columns, decimals) -> None:
+    """Write the header, then one line per row of `columns`.
+
+    `decimals` holds one entry per column: N formats it as `%.Nf`, None
+    as `%d`; the bytes are exactly what `%` writes. Non-finite floats
+    raise ValueError, since no loader reads them back.
+    """
+    columns = [np.asarray(c, dtype=np.int64 if n is None else np.float64)
+               for c, n in zip(columns, decimals)]
+    for col, n in zip(columns, decimals):
+        if n is not None and not np.isfinite(col).all():
+            raise ValueError(f"{path}: cannot write a non-finite value")
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    with Path(path).open("wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, columns[0].size, _CSV_CHUNK_ROWS):
+            mats, masks = zip(*(_cells(col[start:start + _CSV_CHUNK_ROWS], n, end)
+                                for col, n, end in zip(columns, decimals, ends)))
+            fh.write(np.hstack(mats)[np.hstack(masks)].tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +368,7 @@ def load_transition_stream(path: str | Path) -> TransitionStream:
 
 def dump_transition_stream(stream: TransitionStream, path: str | Path) -> None:
     """Write the canonical transition CSV (9 decimal digits of seconds)."""
-    _write_csv(path, TRANSITION_HEADER, "%.9f,%d\n", stream.times_s, stream.levels)
+    _write_csv(path, TRANSITION_HEADER, (stream.times_s, stream.levels), (9, None))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +396,7 @@ def load_software_log(path: str | Path, expected: int, run_id: str | None = None
 
 def dump_software_log(log: SoftwareTimingLog, path: str | Path) -> None:
     """Write the canonical software timing CSV (6 decimal digits of ms)."""
-    _write_csv(path, SOFTWARE_HEADER, "%d,%.6f\n", log.iterations, log.latencies_ms)
+    _write_csv(path, SOFTWARE_HEADER, (log.iterations, log.latencies_ms), (None, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("scenario",
                          help=f"preset name ({', '.join(sorted(PRESETS))}) or JSON scenario file")
     p_synth.add_argument("--out-dir", type=Path, required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=int, default=None,
+                         help="master seed; default: the scenario file's master_seed, 0 for presets")
 
     return parser
 
@@ -195,9 +196,14 @@ def cmd_condition(args: argparse.Namespace) -> int:
         (args.out / "software_ecdf.csv").unlink(missing_ok=True)
         payload["warnings"].append("no class-A or class-B runs: no software-only claims")
 
-    if baseline_reports is not None:
+    if baseline_reports is not None and sw_summaries:
         base_sw = [r.software_summary for r in baseline_reports if r.software_summary]
-        if len(base_sw) >= 1 and sw_summaries:
+        for detector, needed in (("tail_inflation", 1), ("regime_shift", 2)):
+            if len(base_sw) < needed:
+                payload["warnings"].append(
+                    f"{detector} detector skipped: it needs {needed} baseline run(s) of "
+                    f"class A or B; --baseline has {len(base_sw)}")
+        if base_sw:
             base_cond = condition_summary(base_sw)
             tail = detect_tail_inflation(base_cond, sw_cond,
                                          p99_ratio_threshold=args.p99_ratio_threshold)
@@ -208,7 +214,7 @@ def cmd_condition(args: argparse.Namespace) -> int:
                 "threshold": tail.threshold,
                 "flagged": tail.flagged,
             }
-        if len(base_sw) >= 2 and sw_summaries:
+        if len(base_sw) >= 2:
             flags = []
             for s in sw_summaries:
                 f = detect_regime_shift(base_sw, s,
@@ -235,7 +241,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     scenario = args.scenario
     try:
         if scenario in PRESETS:
-            runs = build_preset(scenario, master_seed=args.seed)
+            runs = build_preset(scenario, master_seed=args.seed or 0)
         elif Path(scenario).exists():
             runs = load_scenario(scenario, master_seed=args.seed)
         else:

@@ -160,7 +160,7 @@ def ecdf(latencies_ms: Sequence[float]) -> EcdfCurve:
 
 
 def ecdf_to_csv(curve: EcdfCurve, path: str | Path) -> None:
-    _write_csv(path, "value_ms,fraction", "%.6f,%.6f\n", curve.values, curve.fractions)
+    _write_csv(path, "value_ms,fraction", (curve.values, curve.fractions), (6, 6))
 
 
 def detect_tail_inflation(

@@ -1,17 +1,22 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pulsepair import capture
 from pulsepair.capture import (
     FormatError,
     IntegrityError,
     RunMetadata,
     SoftwareTimingLog,
     TransitionStream,
+    _write_csv,
     dump_run_metadata,
     dump_software_log,
     dump_transition_stream,
@@ -263,3 +268,64 @@ class TestRunMetadata:
         p = write(tmp_path, "m.json", '{"run_id": "x"}')
         with pytest.raises(FormatError, match="missing metadata keys"):
             load_run_metadata(p)
+
+
+# ---------------------------------------------------------------------------
+# The CSV writer's exactness against Python `%`, its reference
+
+
+def percent_csv(path, header, columns, decimals):
+    """What `_write_csv` must write: Python `%` on every cell, row by row."""
+    fmt = ",".join("%d" if n is None else f"%.{n}f" for n in decimals) + "\n"
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n" + "".join(fmt % row for row in rows))
+
+
+def hard_floats(n):
+    """Finite doubles, weighted to where `rint(|x|·10^n)` is hardest to get right."""
+    limit = 2.0 ** 52 / 10 ** n
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),  # both signs, -0.0, subnormals, huge
+        st.integers(-(2 ** 20), 2 ** 20).map(lambda k: k / 128),  # exact binary ties
+        st.integers(-(10 ** 7), 10 ** 7).map(lambda k: (k + 0.5) / 10 ** n),  # decimal halves
+        st.integers(0, 8).map(lambda k: math.nextafter(limit, 0) - k * math.ulp(limit)),
+        st.floats(-1e-6, 1e-6),
+        st.just(-0.0),
+    )
+
+
+@st.composite
+def csv_columns(draw):
+    """(columns, decimals): one float column of N decimals beside an int64 column."""
+    n = draw(st.integers(0, 9))
+    rows = draw(st.lists(st.tuples(hard_floats(n), st.integers(-(2 ** 63), 2 ** 63 - 1)),
+                         max_size=40))
+    floats = np.array([f for f, _ in rows], dtype=np.float64)
+    ints = np.array([i for _, i in rows], dtype=np.int64)
+    if draw(st.booleans()):
+        return (floats, ints), (n, None)
+    return (ints, floats), (None, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_columns(), st.integers(1, 8))
+def test_writer_matches_percent_formatting(case, chunk_rows):
+    columns, decimals = case
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(capture, "_CSV_CHUNK_ROWS", chunk_rows):  # cross chunk edges
+            _write_csv(got, "a,b", columns, decimals)
+        percent_csv(want, "a,b", columns, decimals)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writer_rejects_non_finite_values(tmp_path, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        _write_csv(tmp_path / "x.csv", "a,b", ([1.0, bad], [0, 1]), (6, None))
+
+
+def test_writer_with_no_rows_writes_the_header_only(tmp_path):
+    _write_csv(tmp_path / "x.csv", "a,b", (np.zeros(0), np.zeros(0, dtype=np.int64)), (9, None))
+    assert (tmp_path / "x.csv").read_bytes() == b"a,b\n"

@@ -273,6 +273,34 @@ class TestCondition:
         assert payload["detectors"]["tail_inflation"]["flagged"] is False
         assert all(not f["flagged"] for f in payload["detectors"]["regime_shift"])
 
+    def _skipped(self, corpora, tmp_path, baseline):
+        assert main(["condition", *run_dirs(corpora / "base"), "--baseline", *baseline,
+                     "--out", str(tmp_path / "rep")]) == 0
+        return json.loads((tmp_path / "rep" / "condition_report.json").read_text())
+
+    def test_unusable_baseline_says_both_detectors_are_skipped(self, corpora, tmp_path, capsys):
+        # A baseline whose one run is class C supports no software claims.
+        src = corpora / "base" / "trt_baseline_001"
+        gapped = tmp_path / "gapped"
+        gapped.mkdir()
+        lines = (src / "software.csv").read_text().splitlines()
+        (gapped / "software.csv").write_text("\n".join(lines[:51] + lines[52:]) + "\n")
+        for name in ("transitions.csv", "metadata.json"):
+            (gapped / name).write_text((src / name).read_text())
+        payload = self._skipped(corpora, tmp_path, [str(gapped)])
+        assert payload["detectors"] == {}
+        skipped = [w for w in payload["warnings"] if "detector skipped" in w]
+        assert len(skipped) == 2
+        assert "tail_inflation" in skipped[0] and skipped[0].endswith("--baseline has 0")
+        assert "regime_shift" in skipped[1] and skipped[1].endswith("--baseline has 0")
+
+    def test_single_run_baseline_says_regime_shift_is_skipped(self, corpora, tmp_path, capsys):
+        payload = self._skipped(corpora, tmp_path, [run_dirs(corpora / "base")[0]])
+        assert set(payload["detectors"]) == {"tail_inflation"}
+        skipped = [w for w in payload["warnings"] if "detector skipped" in w]
+        assert len(skipped) == 1
+        assert "regime_shift" in skipped[0] and skipped[0].endswith("--baseline has 1")
+
 
 class TestSynthCommand:
     def test_unknown_preset_fails(self, tmp_path, capsys):
@@ -322,6 +350,31 @@ class TestSynthCommand:
         assert [d.name for d in dirs] == ["custom_001", "custom_002"]
         rc = main(["analyze", str(dirs[0])])
         assert rc == 0
+
+    def test_scenario_master_seed_applies_without_seed_option(self, tmp_path, capsys):
+        scenario = {
+            "n_runs": 1,
+            "dist": {"type": "gaussian", "mean_ms": 2.0, "sd_ms": 0.1},
+            "meta": {
+                "architecture": "other",
+                "condition": "baseline",
+                "marker_width_ms": 100.0,
+                "marker_threshold_ms": 50.0,
+                "iterations_expected": 20,
+                "warmup_iterations": 5,
+            },
+        }
+        logs = {}
+        for seed in (0, 5):
+            spec = tmp_path / f"seed{seed}.json"
+            spec.write_text(json.dumps({**scenario, "master_seed": seed}))
+            assert main(["synth", str(spec), "--out-dir", str(tmp_path / str(seed))]) == 0
+            logs[seed] = (tmp_path / str(seed) / "scenario_001" / "software.csv").read_bytes()
+        assert logs[0] != logs[5]
+        # --seed, when given, still overrides the file's master_seed
+        assert main(["synth", str(tmp_path / "seed0.json"), "--out-dir", str(tmp_path / "over"),
+                     "--seed", "5"]) == 0
+        assert (tmp_path / "over" / "scenario_001" / "software.csv").read_bytes() == logs[5]
 
     @pytest.mark.parametrize("fault,key", [
         ({"kind": "none", "overhead_bound_ms": 0.1}, "overhead_bound_ms"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pulsepair.analysis import analyze
-from pulsepair.capture import RunMetadata
+from pulsepair.capture import RunMetadata, TransitionStream
 from pulsepair.pulses import DEFAULT_MIN_MARGIN, extract_pulses
 from pulsepair.synth import (
     FaultKind,
@@ -204,6 +204,33 @@ def test_violated_marker_separation_is_never_a_or_b(
     assume(marker_ms < DEFAULT_MIN_MARGIN * others.max())
     rr = analyze(run.log, run.stream, run.meta)
     assert rr.validity not in (ValidityClass.A, ValidityClass.B)
+
+
+@settings(deadline=None)
+@given(
+    kind=st.sampled_from(FaultKind),
+    drop_fraction=st.floats(0.01, 0.99),
+    warmup=st.integers(0, 5),
+    lead=st.booleans(),
+    trail=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extraction_conserves_edges(kind, drop_fraction, warmup, lead, trail, seed):
+    """Every edge is half of one pulse or an orphan: edges == 2·pulses + orphan_edges.
+
+    A leading falling edge or a trailing rising edge, cut off by the capture
+    window, is the only kind of orphan, and the emitted pulses all survive.
+    """
+    fault = FaultSpec(kind=kind,
+                      drop_fraction=drop_fraction if kind is FaultKind.PARTIAL_LOSS else None,
+                      marker_width_ms=200.0 if kind is FaultKind.MARKER_OVERLAP else None)
+    times = gen_run(DIST, trt_meta(warmup=warmup, iterations=20), fault=fault, seed=seed).stream.times_s
+    end = times[-1] if times.size else 0.0
+    edges = np.concatenate(([1e-9] if lead else [], times + 2e-9, [end + 1.0] if trail else []))
+    res = extract_pulses(TransitionStream(edges, initial_level=int(lead)))
+    assert edges.size == 2 * res.starts_s.size + res.orphan_edges
+    assert res.orphan_edges == lead + trail
+    assert res.starts_s.size == times.size // 2
 
 
 class TestGenCondition:
