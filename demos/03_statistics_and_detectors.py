@@ -47,7 +47,7 @@ print(f"aggregate p99 ratio {agg.p99_ratio:.3f} (looks reassuring; it is not)")
 for s in ort_mem:
     f = detect_regime_shift(ort_base, s)
     marker = "  <-- collapsed regime" if f.flagged else ""
-    print(f"  {s.run_id}: sd {s.sd:6.2f} ms, mean {s.mean:7.2f} ms, "
+    print(f"  {s.run_id}: sd {s.sd_ms:6.2f} ms, mean {s.mean_ms:7.2f} ms, "
           f"collapse ratio {f.sd_collapse_ratio:5.3f}{marker}")
 
 print("\n--- ECDF of the collapsed run ---")

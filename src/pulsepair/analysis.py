@@ -31,8 +31,8 @@ from .pulses import (
     pair_intervals,
     validate_marker_separation,
 )
-from .stats import RunSummary, run_summary, run_summary_to_dict
-from .validity import DecouplingReport, ValidityClass, detect_decoupling, report_to_dict
+from .stats import RunSummary, run_summary
+from .validity import DecouplingReport, ValidityClass, detect_decoupling, to_json
 
 SOFTWARE_CSV = "software.csv"
 TRANSITIONS_CSV = "transitions.csv"
@@ -53,7 +53,6 @@ class RunReport:
 
     @property
     def validity(self) -> ValidityClass:
-        assert self.report.validity is not None
         return self.report.validity
 
 
@@ -127,25 +126,15 @@ def analyze_run(
                    min_margin=min_margin)
 
 
-def separation_to_dict(sep: MarkerSeparationCheck) -> dict:
-    ratio = sep.margin_ratio
-    return {
-        "marker_width_ms": sep.marker_width_ms,
-        "inference_max_observed_ms": sep.inference_max_observed_ms,
-        "margin_ratio": None if ratio == float("inf") else ratio,
-        "min_margin": sep.min_margin,
-        "passed": sep.passed,
-    }
-
-
 def run_report_to_dict(rr: RunReport) -> dict:
+    """Three metadata fields and the pairing counts; every other part goes through `to_json`."""
     return {
         "run_id": rr.meta.run_id,
         "architecture": rr.meta.architecture,
         "condition": rr.meta.condition,
-        "validity": {"class": rr.validity.name, "label": rr.validity.value},
-        "decoupling": report_to_dict(rr.report),
-        "separation": separation_to_dict(rr.separation),
+        "validity": to_json(rr.validity),
+        "decoupling": to_json(rr.report),
+        "separation": to_json(rr.separation),
         "pairing": {
             "pairs": rr.pairing.iterations.size,
             "unmatched_software": rr.pairing.unmatched_software,
@@ -154,12 +143,8 @@ def run_report_to_dict(rr: RunReport) -> dict:
             "marker_found": rr.pairing.marker_found,
         },
         "orphan_edges": rr.orphan_edges,
-        "software_summary": (
-            run_summary_to_dict(rr.software_summary) if rr.software_summary else None
-        ),
-        "external_summary": (
-            run_summary_to_dict(rr.external_summary) if rr.external_summary else None
-        ),
+        "software_summary": to_json(rr.software_summary),
+        "external_summary": to_json(rr.external_summary),
         "warnings": list(rr.warnings),
     }
 
@@ -190,14 +175,14 @@ def run_report_to_text(rr: RunReport) -> str:
     if rr.software_summary is not None:
         s = rr.software_summary
         lines.append(
-            f"  software latency: mean {s.mean:.3f} ms, sd {s.sd:.3f}, "
-            f"p99 {s.p99:.3f}, max {s.max:.3f} (n={s.n})"
+            f"  software latency: mean {s.mean_ms:.3f} ms, sd {s.sd_ms:.3f}, "
+            f"p99 {s.p99_ms:.3f}, max {s.max_ms:.3f} (n={s.n})"
         )
     if rr.external_summary is not None:
         s = rr.external_summary
         lines.append(
-            f"  external width:   mean {s.mean:.3f} ms, sd {s.sd:.3f}, "
-            f"p99 {s.p99:.3f}, max {s.max:.3f} (n={s.n})"
+            f"  external width:   mean {s.mean_ms:.3f} ms, sd {s.sd_ms:.3f}, "
+            f"p99 {s.p99_ms:.3f}, max {s.max_ms:.3f} (n={s.n})"
         )
     for w in rr.warnings:
         lines.append(f"  warning: {w}")

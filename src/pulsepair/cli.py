@@ -24,7 +24,6 @@ from .stats import (
     DEFAULT_P99_RATIO_THRESHOLD,
     DEFAULT_SD_COLLAPSE_THRESHOLD,
     condition_summary,
-    condition_summary_to_dict,
     detect_regime_shift,
     detect_tail_inflation,
     ecdf,
@@ -32,7 +31,7 @@ from .stats import (
     format_condition_table,
 )
 from .synth import write_runs
-from .validity import ValidityClass, split_claim_views
+from .validity import ValidityClass, split_claim_views, to_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -168,7 +167,7 @@ def cmd_condition(args: argparse.Namespace) -> int:
     ext_summaries = [r.external_summary for r in external_runs if r.external_summary]
     if ext_summaries:
         ext_cond = condition_summary(ext_summaries)
-        payload["external_view"]["summary"] = condition_summary_to_dict(ext_cond)
+        payload["external_view"]["summary"] = to_json(ext_cond)
         table_sections.append("External timing (class A runs only)\n"
                               + format_condition_table([ext_cond]))
         pooled = np.concatenate([r.pairing.external_ms for r in external_runs])
@@ -187,7 +186,7 @@ def cmd_condition(args: argparse.Namespace) -> int:
     sw_summaries = [r.software_summary for r in software_runs if r.software_summary]
     if sw_summaries:
         sw_cond = condition_summary(sw_summaries)
-        payload["software_only_view"]["summary"] = condition_summary_to_dict(sw_cond)
+        payload["software_only_view"]["summary"] = to_json(sw_cond)
         table_sections.append("Software-reported timing (class A and B runs)\n"
                               + format_condition_table([sw_cond]))
         pooled_lat = np.concatenate([r.software_latencies for r in software_runs])
@@ -205,29 +204,13 @@ def cmd_condition(args: argparse.Namespace) -> int:
                     f"class A or B; --baseline has {len(base_sw)}")
         if base_sw:
             base_cond = condition_summary(base_sw)
-            tail = detect_tail_inflation(base_cond, sw_cond,
-                                         p99_ratio_threshold=args.p99_ratio_threshold)
-            payload["detectors"]["tail_inflation"] = {
-                "p99_ratio": tail.p99_ratio,
-                "mean_ratio": tail.mean_ratio,
-                "max_ratio": tail.max_ratio,
-                "threshold": tail.threshold,
-                "flagged": tail.flagged,
-            }
+            payload["detectors"]["tail_inflation"] = to_json(detect_tail_inflation(
+                base_cond, sw_cond, p99_ratio_threshold=args.p99_ratio_threshold))
         if len(base_sw) >= 2:
-            flags = []
-            for s in sw_summaries:
-                f = detect_regime_shift(base_sw, s,
-                                        collapse_threshold=args.sd_collapse_threshold)
-                flags.append({
-                    "run_id": f.run_id,
-                    "run_sd_ms": f.run_sd,
-                    "baseline_median_run_sd_ms": f.baseline_median_run_sd,
-                    "sd_collapse_ratio": f.sd_collapse_ratio,
-                    "run_mean_ms": f.run_mean,
-                    "flagged": f.flagged,
-                })
-            payload["detectors"]["regime_shift"] = flags
+            payload["detectors"]["regime_shift"] = to_json([
+                detect_regime_shift(base_sw, s, collapse_threshold=args.sd_collapse_threshold)
+                for s in sw_summaries
+            ])
 
     text = "\n\n".join(table_sections) + "\n"
     encoded = json.dumps(payload, indent=2, sort_keys=True)
@@ -248,7 +231,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             print(f"error: unknown preset or missing scenario file {scenario!r}; "
                   f"known presets: {', '.join(sorted(PRESETS))}", file=sys.stderr)
             return EXIT_ERROR
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     write_runs(runs, args.out_dir)

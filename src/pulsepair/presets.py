@@ -23,6 +23,7 @@ from .capture import (
     COND_MEMORY_STRESS_LIGHT,
     COND_STORAGE_STRESS,
     RunMetadata,
+    integer,
 )
 from .synth import (
     DEFAULT_GAP_MS,
@@ -249,23 +250,30 @@ def load_scenario(path: str | Path, master_seed: int | None = None) -> list[Gene
     Expected keys: dist, meta, n_runs; optional fault (kind,
     drop_fraction, marker_width_ms), master_seed, gap_ms and
     overhead_bound_ms, which sets the fault's bound. The file's
-    master_seed is overridden by the argument when given.
+    master_seed is overridden by the argument when given. Counts and the
+    seed must be integral. Every error is a ValueError that names the file.
     """
-    raw = json.loads(Path(path).read_text())
-    dist = _dist_from_dict(raw["dist"])
-    fault = _fault_from_dict(raw.get("fault") or {},
-                             float(raw.get("overhead_bound_ms", DEFAULT_OVERHEAD_BOUND_MS)))
-    m = raw["meta"]
-    meta = RunMetadata(
-        run_id=str(m.get("run_id_prefix", "scenario")),
-        architecture=str(m["architecture"]),
-        condition=str(m["condition"]),
-        marker_width_ms=float(m["marker_width_ms"]),
-        marker_threshold_ms=float(m["marker_threshold_ms"]),
-        iterations_expected=int(m["iterations_expected"]),
-        warmup_iterations=int(m["warmup_iterations"]),
-        sample_period_s=float(m.get("sample_period_s", 1e-7)),
-    )
-    seed = master_seed if master_seed is not None else int(raw.get("master_seed", 0))
-    return gen_condition(dist, meta, n_runs=int(raw["n_runs"]), master_seed=seed, fault=fault,
-                         gap_ms=float(raw.get("gap_ms", DEFAULT_GAP_MS)))
+    try:
+        raw = json.loads(Path(path).read_text())
+        dist = _dist_from_dict(raw["dist"])
+        fault = _fault_from_dict(raw.get("fault") or {},
+                                 float(raw.get("overhead_bound_ms", DEFAULT_OVERHEAD_BOUND_MS)))
+        m = raw["meta"]
+        meta = RunMetadata(
+            run_id=str(m.get("run_id_prefix", "scenario")),
+            architecture=str(m["architecture"]),
+            condition=str(m["condition"]),
+            marker_width_ms=float(m["marker_width_ms"]),
+            marker_threshold_ms=float(m["marker_threshold_ms"]),
+            iterations_expected=integer(m["iterations_expected"]),
+            warmup_iterations=integer(m["warmup_iterations"]),
+            sample_period_s=float(m.get("sample_period_s", 1e-7)),
+        )
+        seed = master_seed if master_seed is not None else integer(raw.get("master_seed", 0))
+        n_runs = integer(raw["n_runs"])
+        gap_ms = float(raw.get("gap_ms", DEFAULT_GAP_MS))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing scenario key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
+        raise ValueError(f"{path}: {exc}") from None
+    return gen_condition(dist, meta, n_runs=n_runs, master_seed=seed, fault=fault, gap_ms=gap_ms)

@@ -32,13 +32,13 @@ DEFAULT_SD_COLLAPSE_THRESHOLD = 0.25
 class RunSummary:
     run_id: str
     n: int
-    mean: float
-    sd: float
-    p50: float
-    p95: float
-    p99: float
-    min: float
-    max: float
+    mean_ms: float
+    sd_ms: float
+    p50_ms: float
+    p95_ms: float
+    p99_ms: float
+    min_ms: float
+    max_ms: float
     condition: str | None = None
 
 
@@ -47,10 +47,10 @@ class ConditionSummary:
     condition: str
     runs: int
     samples: int
-    mean_of_run_means: float
-    run_mean_sd: float
-    mean_p99: float
-    max_observed: float
+    mean_of_run_means_ms: float
+    run_mean_sd_ms: float
+    mean_p99_ms: float
+    max_observed_ms: float
     single_run_warning: bool = False
 
 
@@ -72,11 +72,10 @@ class TailInflationFlag:
 @dataclass(frozen=True)
 class RegimeShiftFlag:
     run_id: str
-    run_sd: float
-    baseline_median_run_sd: float
+    run_sd_ms: float
+    baseline_median_run_sd_ms: float
     sd_collapse_ratio: float
-    run_mean: float
-    baseline_mean_of_means: float
+    run_mean_ms: float
     flagged: bool
 
 
@@ -110,13 +109,13 @@ def run_summary(
     return RunSummary(
         run_id=run_id,
         n=int(s.size),
-        mean=float(np.mean(s)),
-        sd=sd,
-        p50=nearest_rank(s, 0.50),
-        p95=nearest_rank(s, 0.95),
-        p99=nearest_rank(s, 0.99),
-        min=float(s[0]),
-        max=float(s[-1]),
+        mean_ms=float(np.mean(s)),
+        sd_ms=sd,
+        p50_ms=nearest_rank(s, 0.50),
+        p95_ms=nearest_rank(s, 0.95),
+        p99_ms=nearest_rank(s, 0.99),
+        min_ms=float(s[0]),
+        max_ms=float(s[-1]),
         condition=condition,
     )
 
@@ -125,7 +124,7 @@ def condition_summary(runs: Sequence[RunSummary], condition: str | None = None) 
     """Aggregate per-run summaries into one condition row.
 
     A single-run condition is legitimate (storage stress has few runs),
-    so run_mean_sd degrades to 0 with a warning flag instead of erroring.
+    so run_mean_sd_ms degrades to 0 with a warning flag instead of erroring.
     """
     if not runs:
         raise ValueError("condition_summary requires at least one run")
@@ -136,17 +135,17 @@ def condition_summary(runs: Sequence[RunSummary], condition: str | None = None) 
         raise ValueError(f"mixed condition labels: {sorted(labels)}")
     label = labels.pop() if labels else ""
 
-    means = np.array([r.mean for r in runs])
+    means = np.array([r.mean_ms for r in runs])
     single = len(runs) == 1
     run_mean_sd = 0.0 if single else float(np.std(means, ddof=1))
     return ConditionSummary(
         condition=label,
         runs=len(runs),
         samples=sum(r.n for r in runs),
-        mean_of_run_means=float(np.mean(means)),
-        run_mean_sd=run_mean_sd,
-        mean_p99=float(np.mean([r.p99 for r in runs])),
-        max_observed=max(r.max for r in runs),
+        mean_of_run_means_ms=float(np.mean(means)),
+        run_mean_sd_ms=run_mean_sd,
+        mean_p99_ms=float(np.mean([r.p99_ms for r in runs])),
+        max_observed_ms=max(r.max_ms for r in runs),
         single_run_warning=single,
     )
 
@@ -174,11 +173,11 @@ def detect_tail_inflation(
     only. A ratio below 1 can coexist with a real problem (a regime
     shift lowers P99), which is the regime detector's job to catch.
     """
-    ratio = stressed.mean_p99 / baseline.mean_p99
+    ratio = stressed.mean_p99_ms / baseline.mean_p99_ms
     return TailInflationFlag(
         p99_ratio=ratio,
-        mean_ratio=stressed.mean_of_run_means / baseline.mean_of_run_means,
-        max_ratio=stressed.max_observed / baseline.max_observed,
+        mean_ratio=stressed.mean_of_run_means_ms / baseline.mean_of_run_means_ms,
+        max_ratio=stressed.max_observed_ms / baseline.max_observed_ms,
         threshold=p99_ratio_threshold,
         flagged=ratio >= p99_ratio_threshold,
     )
@@ -196,20 +195,16 @@ def detect_regime_shift(
     """
     if len(baseline_runs) < 2:
         raise ValueError("regime-shift detection needs at least 2 baseline runs")
-    baseline_sds = np.array([r.sd for r in baseline_runs])
-    baseline_means = np.array([r.mean for r in baseline_runs])
-    median_sd = float(np.median(baseline_sds))
-    ratio = candidate.sd / median_sd if median_sd > 0 else np.inf
-    baseline_mean = float(np.mean(baseline_means))
-    flagged = ratio <= collapse_threshold and candidate.mean >= baseline_mean
+    median_sd = float(np.median([r.sd_ms for r in baseline_runs]))
+    ratio = candidate.sd_ms / median_sd if median_sd > 0 else np.inf
+    baseline_mean = float(np.mean([r.mean_ms for r in baseline_runs]))
     return RegimeShiftFlag(
         run_id=candidate.run_id,
-        run_sd=candidate.sd,
-        baseline_median_run_sd=median_sd,
+        run_sd_ms=candidate.sd_ms,
+        baseline_median_run_sd_ms=median_sd,
         sd_collapse_ratio=float(ratio),
-        run_mean=candidate.mean,
-        baseline_mean_of_means=baseline_mean,
-        flagged=flagged,
+        run_mean_ms=candidate.mean_ms,
+        flagged=ratio <= collapse_threshold and candidate.mean_ms >= baseline_mean,
     )
 
 
@@ -236,41 +231,13 @@ def format_condition_table(summaries: Sequence[ConditionSummary]) -> str:
             s.condition,
             s.runs,
             s.samples,
-            s.mean_of_run_means,
-            s.run_mean_sd,
-            s.mean_p99,
-            s.max_observed,
+            s.mean_of_run_means_ms,
+            s.run_mean_sd_ms,
+            s.mean_p99_ms,
+            s.max_observed_ms,
         )
         row = "".join(
             f"{cell:>{width}{fmt}}" for cell, (_, width, fmt) in zip(cells, _TABLE_COLUMNS)
         )
         lines.append(row)
     return "\n".join(lines)
-
-
-def run_summary_to_dict(s: RunSummary) -> dict:
-    return {
-        "run_id": s.run_id,
-        "condition": s.condition,
-        "n": s.n,
-        "mean_ms": s.mean,
-        "sd_ms": s.sd,
-        "p50_ms": s.p50,
-        "p95_ms": s.p95,
-        "p99_ms": s.p99,
-        "min_ms": s.min,
-        "max_ms": s.max,
-    }
-
-
-def condition_summary_to_dict(s: ConditionSummary) -> dict:
-    return {
-        "condition": s.condition,
-        "runs": s.runs,
-        "samples": s.samples,
-        "mean_of_run_means_ms": s.mean_of_run_means,
-        "run_mean_sd_ms": s.run_mean_sd,
-        "mean_p99_ms": s.mean_p99,
-        "max_observed_ms": s.max_observed,
-        "single_run_warning": s.single_run_warning,
-    }

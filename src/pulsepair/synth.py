@@ -30,7 +30,7 @@ from .capture import (
     dump_software_log,
     dump_transition_stream,
 )
-from .validity import FailureMode, ValidityClass
+from .validity import FailureMode, ValidityClass, to_json
 
 MIN_LATENCY_MS = 0.01
 DEFAULT_OVERHEAD_BOUND_MS = 0.05
@@ -129,14 +129,6 @@ class FaultSpec:
         if self.kind is FaultKind.MARKER_OVERLAP and self.marker_width_ms is None:
             raise ValueError("marker_overlap requires marker_width_ms")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "drop_fraction": self.drop_fraction,
-            "marker_width_ms": self.marker_width_ms,
-            "overhead_bound_ms": self.overhead_bound_ms,
-        }
-
 
 NO_FAULT = FaultSpec()
 
@@ -156,10 +148,11 @@ class GroundTruth:
     pulses_emitted: int  # post-marker inference pulses surviving the fault
 
     def to_dict(self) -> dict:
+        """The ground_truth.json form: validity as its letter, latencies to 6 digits."""
         return {
             "run_id": self.run_id,
             "seed": self.seed,
-            "fault": self.fault.to_dict(),
+            "fault": to_json(self.fault),
             "expected_failure_mode": self.expected_failure_mode.value,
             "expected_validity": self.expected_validity.name,
             "true_latencies_ms": [round(v, 6) for v in self.true_latencies_ms],

@@ -16,7 +16,8 @@ fail while the runtime looks healthy (observability decoupling).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Generic, Sequence, TypeVar
 
 from .capture import RunMetadata, SoftwareTimingLog
@@ -56,7 +57,9 @@ class DecouplingReport:
 
     `transitions_expected` counts inference edges only (2 per expected
     iteration); marker and warmup edges are excluded from the budget.
-    `loss_fraction` is defined only for partial transition loss.
+    `loss_fraction` is defined only for partial transition loss. A run is
+    `decoupled` when its software log is complete and its external
+    channel is not healthy.
     """
 
     run_id: str
@@ -66,12 +69,9 @@ class DecouplingReport:
     transitions_expected: int
     pairs_formed: int
     failure_mode: FailureMode
-    loss_fraction: float | None = None
-    validity: ValidityClass | None = None
-
-    @property
-    def decoupled(self) -> bool:
-        return self.software_complete and self.failure_mode is not FailureMode.HEALTHY
+    loss_fraction: float | None
+    decoupled: bool
+    validity: ValidityClass
 
 
 def detect_decoupling(
@@ -79,7 +79,7 @@ def detect_decoupling(
     pairing: PairingResult,
     meta: RunMetadata,
     transitions_recovered: int,
-    separation: MarkerSeparationCheck | None = None,
+    separation: MarkerSeparationCheck,
 ) -> DecouplingReport:
     """Assign the external failure mode and the validity class for one run.
 
@@ -96,6 +96,7 @@ def detect_decoupling(
     mistaken for lost transitions.
     """
     expected_iters = meta.iterations_expected
+    complete = log.complete
     transitions_expected = 2 * expected_iters
     recovered = min(pairing.inference_pulses, expected_iters)
     loss_fraction: float | None = None
@@ -107,7 +108,7 @@ def detect_decoupling(
             # Deliberately no device-vs-host cause attribution: an empty
             # trace is ambiguous and stays that way.
             mode = FailureMode.COMPLETE_ACQUISITION_FAILURE
-    elif pairing.extra_markers or (separation is not None and not separation.passed):
+    elif pairing.extra_markers or not separation.passed:
         mode = FailureMode.MARKER_OVERLAP
     elif not pairing.marker_found:
         mode = FailureMode.PAIRING_FAILURE
@@ -119,31 +120,33 @@ def detect_decoupling(
     else:
         mode = FailureMode.HEALTHY
 
-    report = DecouplingReport(
+    return DecouplingReport(
         run_id=meta.run_id,
-        software_complete=log.complete,
+        software_complete=complete,
         marker_found=pairing.marker_found,
         transitions_recovered=transitions_recovered,
         transitions_expected=transitions_expected,
         pairs_formed=pairing.iterations.size,
         failure_mode=mode,
         loss_fraction=loss_fraction,
+        decoupled=complete and mode is not FailureMode.HEALTHY,
+        validity=classify_run_validity(mode, complete),
     )
-    return replace(report, validity=classify_run_validity(report))
 
 
-def classify_run_validity(report: DecouplingReport) -> ValidityClass:
-    """Map a decoupling report to the four-way class. Precedence D > C > B > A.
+def classify_run_validity(mode: FailureMode, software_complete: bool) -> ValidityClass:
+    """Map a failure mode and log completeness to the four-way class.
 
-    Methodology failures dominate: their statistics are untrustworthy
-    even when every row and pulse is present. A failed separation check
-    is one of them: it already set the failure mode to marker overlap.
+    Precedence D > C > B > A. Methodology failures dominate: their
+    statistics are untrustworthy even when every row and pulse is
+    present. A failed separation check is one of them: it already set
+    the failure mode to marker overlap.
     """
-    if report.failure_mode in (FailureMode.MARKER_OVERLAP, FailureMode.GPIO_LINE_MISOBSERVATION):
+    if mode in (FailureMode.MARKER_OVERLAP, FailureMode.GPIO_LINE_MISOBSERVATION):
         return ValidityClass.D
-    if not report.software_complete:
+    if not software_complete:
         return ValidityClass.C
-    if report.failure_mode is FailureMode.HEALTHY:
+    if mode is FailureMode.HEALTHY:
         return ValidityClass.A
     return ValidityClass.B
 
@@ -166,31 +169,28 @@ def split_claim_views(runs: Sequence[Classified]) -> ClaimViews[Classified]:
     Classes C and D are excluded from both views but remain in the input;
     nothing is deleted.
     """
-    _require_classified(runs)
     return ClaimViews(
         external=tuple(r for r in runs if r.validity.supports_external_claims),
         software_only=tuple(r for r in runs if r.validity.supports_software_claims),
     )
 
 
-def _require_classified(runs: Sequence) -> None:
-    for r in runs:
-        if r.validity is None:
-            raise ValueError(f"run {r.run_id} has no validity class; classify first")
+def to_json(value):
+    """The JSON form of a report value: the one encoder for report dataclasses.
 
-
-def report_to_dict(report: DecouplingReport) -> dict:
-    out = {
-        "run_id": report.run_id,
-        "software_complete": report.software_complete,
-        "marker_found": report.marker_found,
-        "transitions_recovered": report.transitions_recovered,
-        "transitions_expected": report.transitions_expected,
-        "pairs_formed": report.pairs_formed,
-        "failure_mode": report.failure_mode.value,
-        "loss_fraction": report.loss_fraction,
-        "decoupled": report.decoupled,
-    }
-    if report.validity is not None:
-        out["validity"] = {"class": report.validity.name, "label": report.validity.value}
-    return out
+    A dataclass maps each field by its name, so units belong in field
+    names. `ValidityClass` is written as {"class", "label"}, every other
+    enum by its value, and an infinite float as null (JSON has no
+    infinity). Lists and tuples map item by item.
+    """
+    if isinstance(value, float):
+        return None if math.isinf(value) else value
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, enum.Enum):
+        if isinstance(value, ValidityClass):
+            return {"class": value.name, "label": value.value}
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    return {name: to_json(getattr(value, name)) for name in value.__dataclass_fields__}

@@ -110,8 +110,8 @@ def test_criterion_5_regime_shift_detection(capsys):
     flags = [detect_regime_shift(baseline, s) for s in stressed]
     flagged = [f for f in flags if f.flagged]
     assert len(flagged) == 1
-    assert flagged[0].run_sd == pytest.approx(3.5, abs=1.0)
-    assert flagged[0].run_mean == pytest.approx(198.32, abs=2.0)
+    assert flagged[0].run_sd_ms == pytest.approx(3.5, abs=1.0)
+    assert flagged[0].run_mean_ms == pytest.approx(198.32, abs=2.0)
     # no false flags on baseline runs themselves
     for s in baseline:
         others = [b for b in baseline if b.run_id != s.run_id]
@@ -126,12 +126,12 @@ def test_criterion_6_statistics_oracle(capsys):
         n = int(rng.integers(1, 501))
         vals = (rng.lognormal(0.0, 1.0, size=n) + 0.01).tolist()
         s = run_summary(vals)
-        assert s.mean == pytest.approx(brute_mean(vals), rel=1e-12)
-        assert s.sd == pytest.approx(brute_sample_sd(vals), rel=1e-12, abs=1e-15)
-        assert s.p50 == brute_nearest_rank(vals, 0.50)
-        assert s.p95 == brute_nearest_rank(vals, 0.95)
-        assert s.p99 == brute_nearest_rank(vals, 0.99)
-        assert s.max == max(vals)
+        assert s.mean_ms == pytest.approx(brute_mean(vals), rel=1e-12)
+        assert s.sd_ms == pytest.approx(brute_sample_sd(vals), rel=1e-12, abs=1e-15)
+        assert s.p50_ms == brute_nearest_rank(vals, 0.50)
+        assert s.p95_ms == brute_nearest_rank(vals, 0.95)
+        assert s.p99_ms == brute_nearest_rank(vals, 0.99)
+        assert s.max_ms == max(vals)
     with capsys.disabled():
         passed(6, "statistics oracle equivalence")
 
@@ -213,8 +213,8 @@ def test_criterion_8_warmup_structural_exclusion(capsys):
         assert (i1, sw1) == (i2, sw2)
         assert ext1 == pytest.approx(ext2, abs=quant_ms)
     assert rr_small.software_summary == rr_large.software_summary
-    assert rr_small.external_summary.mean == pytest.approx(
-        rr_large.external_summary.mean, abs=quant_ms
+    assert rr_small.external_summary.mean_ms == pytest.approx(
+        rr_large.external_summary.mean_ms, abs=quant_ms
     )
     with capsys.disabled():
         passed(8, "warmup structural exclusion")

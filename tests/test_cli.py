@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,39 @@ BAD_INPUTS = {
 }
 
 
+SCENARIO = {
+    "n_runs": 1,
+    "dist": {"type": "gaussian", "mean_ms": 2.0, "sd_ms": 0.1},
+    "meta": {
+        "architecture": "other",
+        "condition": "baseline",
+        "marker_width_ms": 100.0,
+        "marker_threshold_ms": 50.0,
+        "iterations_expected": 20,
+        "warmup_iterations": 5,
+    },
+}
+
+
+def _bad_scenario(**changes):
+    """argv synthesizing SCENARIO with top-level `changes` applied; None drops a key."""
+    def argv(corpora, tmp_path):
+        scenario = {**SCENARIO, **changes}
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps({k: v for k, v in scenario.items() if v is not None}))
+        return ["synth", str(spec), "--out-dir", str(tmp_path / "out")]
+    return argv
+
+
+BAD_INPUTS.update({
+    "fractional_scenario_counts": _bad_scenario(
+        n_runs=2.7, meta={**SCENARIO["meta"], "iterations_expected": 20.9,
+                          "warmup_iterations": 5.5}),
+    "fractional_scenario_seed": _bad_scenario(master_seed=1.5),
+    "scenario_meta_not_an_object": _bad_scenario(meta=[]),
+})
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_one_with_one_error_line(case, corpora, tmp_path, capsys):
     rc = main(BAD_INPUTS[case](corpora, tmp_path))
@@ -301,8 +336,38 @@ class TestCondition:
         assert len(skipped) == 1
         assert "regime_shift" in skipped[0] and skipped[0].endswith("--baseline has 1")
 
+    def test_infinite_ratio_is_written_as_null(self, corpora, tmp_path, capsys):
+        # Two baseline runs with constant latencies have a median run SD of
+        # 0, so every candidate's SD collapse ratio is infinite.
+        baseline = []
+        for src in run_dirs(corpora / "base")[:2]:
+            dst = tmp_path / Path(src).name
+            shutil.copytree(src, dst)
+            rows = (dst / "software.csv").read_text().splitlines()
+            flat = [f"{line.split(',')[0]},1.230000" for line in rows[1:]]
+            (dst / "software.csv").write_text("\n".join([rows[0], *flat]) + "\n")
+            baseline.append(str(dst))
+        assert main(["condition", *run_dirs(corpora / "base")[2:4], "--baseline", *baseline,
+                     "--out", str(tmp_path / "rep")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "rep" / "condition_report.json").read_text()
+        flags = json.loads(text, parse_constant=reject)["detectors"]["regime_shift"]
+        assert len(flags) == 2
+        assert all(f["sd_collapse_ratio"] is None for f in flags)
+        assert all(f["baseline_median_run_sd_ms"] == 0.0 for f in flags)
+
 
 class TestSynthCommand:
+    def test_missing_scenario_key_names_the_file_and_key(self, tmp_path, capsys):
+        argv = _bad_scenario(meta=None)(None, tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {argv[1]}: missing scenario key 'meta'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_preset_fails(self, tmp_path, capsys):
         rc = main(["synth", "not_a_preset", "--out-dir", str(tmp_path)])
         assert rc == 1

@@ -28,15 +28,15 @@ latency_vectors = st.lists(
 class TestRunSummary:
     def test_constant_vector(self):
         s = run_summary([1.0] * 100)
-        assert s.mean == 1.0 and s.sd == 0.0
-        assert s.p50 == s.p95 == s.p99 == s.max == 1.0
+        assert s.mean_ms == 1.0 and s.sd_ms == 0.0
+        assert s.p50_ms == s.p95_ms == s.p99_ms == s.max_ms == 1.0
 
     def test_nearest_rank_on_1_to_100(self):
         s = run_summary([float(i) for i in range(1, 101)])
-        assert s.p50 == 50.0
-        assert s.p95 == 95.0
-        assert s.p99 == 99.0
-        assert s.max == 100.0
+        assert s.p50_ms == 50.0
+        assert s.p95_ms == 95.0
+        assert s.p99_ms == 99.0
+        assert s.max_ms == 100.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -52,16 +52,16 @@ class TestRunSummary:
             n = int(rng.integers(1, 300))
             vals = (rng.lognormal(0.0, 1.0, size=n) + 0.01).tolist()
             s = run_summary(vals)
-            assert s.mean == pytest.approx(brute_mean(vals), rel=1e-12)
-            assert s.sd == pytest.approx(brute_sample_sd(vals), rel=1e-12, abs=1e-15)
-            for p, got in ((0.5, s.p50), (0.95, s.p95), (0.99, s.p99)):
+            assert s.mean_ms == pytest.approx(brute_mean(vals), rel=1e-12)
+            assert s.sd_ms == pytest.approx(brute_sample_sd(vals), rel=1e-12, abs=1e-15)
+            for p, got in ((0.5, s.p50_ms), (0.95, s.p95_ms), (0.99, s.p99_ms)):
                 assert got == brute_nearest_rank(vals, p)
-            assert s.min == min(vals) and s.max == max(vals)
+            assert s.min_ms == min(vals) and s.max_ms == max(vals)
 
     @given(latency_vectors)
     def test_percentile_monotonicity(self, vals):
         s = run_summary(vals)
-        assert s.min <= s.p50 <= s.p95 <= s.p99 <= s.max
+        assert s.min_ms <= s.p50_ms <= s.p95_ms <= s.p99_ms <= s.max_ms
 
     @given(latency_vectors, st.randoms())
     def test_permutation_invariance(self, vals, rnd):
@@ -73,10 +73,10 @@ class TestRunSummary:
     @example(vals=[1253.0, 1253.0, 1253.0], c=70.59103949681047)
     def test_scale_equivariance(self, vals, c):
         a, b = run_summary(vals), run_summary([v * c for v in vals])
-        assert b.mean == pytest.approx(a.mean * c, rel=1e-9)
-        assert b.sd == pytest.approx(a.sd * c, rel=1e-9, abs=1e-12)
-        assert b.p99 == pytest.approx(a.p99 * c, rel=1e-9)
-        assert b.max == pytest.approx(a.max * c, rel=1e-9)
+        assert b.mean_ms == pytest.approx(a.mean_ms * c, rel=1e-9)
+        assert b.sd_ms == pytest.approx(a.sd_ms * c, rel=1e-9, abs=1e-12)
+        assert b.p99_ms == pytest.approx(a.p99_ms * c, rel=1e-9)
+        assert b.max_ms == pytest.approx(a.max_ms * c, rel=1e-9)
 
 
 class TestConditionSummary:
@@ -86,14 +86,14 @@ class TestConditionSummary:
             run_summary([2.0] * 10, "r2", "baseline"),
         ]
         c = condition_summary(runs)
-        assert c.mean_of_run_means == pytest.approx(1.5)
-        assert c.run_mean_sd == pytest.approx(math.sqrt(0.5), abs=1e-9)  # 0.7071
+        assert c.mean_of_run_means_ms == pytest.approx(1.5)
+        assert c.run_mean_sd_ms == pytest.approx(math.sqrt(0.5), abs=1e-9)  # 0.7071
         assert c.samples == 20 and c.runs == 2
         assert not c.single_run_warning
 
     def test_single_run_degrades_with_warning(self):
         c = condition_summary([run_summary([1.0, 2.0], "r1", "storage_stress")])
-        assert c.run_mean_sd == 0.0
+        assert c.run_mean_sd_ms == 0.0
         assert c.single_run_warning
 
     def test_mixed_condition_labels_rejected(self):
@@ -109,7 +109,7 @@ class TestConditionSummary:
             run_summary([1.0, 5.0], "r1", "c"),
             run_summary([2.0, 3.0], "r2", "c"),
         ]
-        assert condition_summary(runs).max_observed == 5.0
+        assert condition_summary(runs).max_observed_ms == 5.0
 
     def test_table_has_one_row_per_condition(self):
         c = condition_summary([run_summary([1.0, 2.0], "r", "baseline")])
@@ -150,10 +150,10 @@ def cond(mean, mean_p99, max_observed, condition="x", runs=5, samples=500):
         condition=condition,
         runs=runs,
         samples=samples,
-        mean_of_run_means=mean,
-        run_mean_sd=0.0,
-        mean_p99=mean_p99,
-        max_observed=max_observed,
+        mean_of_run_means_ms=mean,
+        run_mean_sd_ms=0.0,
+        mean_p99_ms=mean_p99,
+        max_observed_ms=max_observed,
     )
 
 
@@ -183,8 +183,8 @@ class TestTailInflation:
     def test_scale_free_decision(self):
         b, s = cond(1.0, 1.2, 2.0), cond(1.1, 1.5, 3.0)
         for c in (0.5, 10.0):
-            bs = cond(b.mean_of_run_means * c, b.mean_p99 * c, b.max_observed * c)
-            ss = cond(s.mean_of_run_means * c, s.mean_p99 * c, s.max_observed * c)
+            bs = cond(b.mean_of_run_means_ms * c, b.mean_p99_ms * c, b.max_observed_ms * c)
+            ss = cond(s.mean_of_run_means_ms * c, s.mean_p99_ms * c, s.max_observed_ms * c)
             assert detect_tail_inflation(bs, ss).flagged == detect_tail_inflation(b, s).flagged
 
 

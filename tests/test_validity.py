@@ -1,18 +1,21 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pulsepair.analysis import analyze
 from pulsepair.capture import RunMetadata, SoftwareTimingLog
 from pulsepair.pulses import PairingResult, validate_marker_separation
+from pulsepair.synth import FaultKind, FaultSpec, Gaussian, gen_run
 from pulsepair.validity import (
     DecouplingReport,
     FailureMode,
     ValidityClass,
-    classify_run_validity,
     detect_decoupling,
-    report_to_dict,
     split_claim_views,
+    to_json,
 )
 
 
@@ -51,12 +54,17 @@ def pairing_with(pairs, unmatched, marker_found=True, extra_markers=0):
     )
 
 
+#: A separation check that passes: a 200 ms marker over 1.6 ms pulses.
+SEPARATED = validate_marker_separation(200.0, [1.6])
+
+
 class TestDetectDecoupling:
     def test_post_marker_collapse(self):
         # marker captured cleanly, then the entire pulse train lost:
         # 2 raw transitions against 200 expected inference edges
         rep = detect_decoupling(
-            log_with(100), pairing_with(0, 100), meta(), transitions_recovered=2
+            log_with(100), pairing_with(0, 100), meta(), transitions_recovered=2,
+            separation=SEPARATED,
         )
         assert rep.failure_mode is FailureMode.POST_MARKER_COLLAPSE
         assert rep.software_complete and rep.decoupled
@@ -64,7 +72,8 @@ class TestDetectDecoupling:
 
     def test_partial_transition_loss_fraction(self):
         rep = detect_decoupling(
-            log_with(100), pairing_with(60, 40), meta(), transitions_recovered=122
+            log_with(100), pairing_with(60, 40), meta(), transitions_recovered=122,
+            separation=SEPARATED,
         )
         assert rep.failure_mode is FailureMode.PARTIAL_TRANSITION_LOSS
         assert rep.loss_fraction == pytest.approx(0.40)
@@ -72,13 +81,14 @@ class TestDetectDecoupling:
     def test_complete_acquisition_failure_on_empty_stream(self):
         rep = detect_decoupling(
             log_with(100), pairing_with(0, 100, marker_found=False), meta(),
-            transitions_recovered=0,
+            transitions_recovered=0, separation=SEPARATED,
         )
         assert rep.failure_mode is FailureMode.COMPLETE_ACQUISITION_FAILURE
 
     def test_healthy_run(self):
         rep = detect_decoupling(
-            log_with(100), pairing_with(100, 0), meta(), transitions_recovered=202
+            log_with(100), pairing_with(100, 0), meta(), transitions_recovered=202,
+            separation=SEPARATED,
         )
         assert rep.failure_mode is FailureMode.HEALTHY
         assert not rep.decoupled
@@ -88,14 +98,14 @@ class TestDetectDecoupling:
         m = meta(gpio_line_verified_absent=True)
         rep = detect_decoupling(
             log_with(100), pairing_with(0, 100, marker_found=False), m,
-            transitions_recovered=0,
+            transitions_recovered=0, separation=SEPARATED,
         )
         assert rep.failure_mode is FailureMode.GPIO_LINE_MISOBSERVATION
 
     def test_pairing_failure_when_transitions_but_no_marker(self):
         rep = detect_decoupling(
             log_with(100), pairing_with(0, 100, marker_found=False), meta(),
-            transitions_recovered=40,
+            transitions_recovered=40, separation=SEPARATED,
         )
         assert rep.failure_mode is FailureMode.PAIRING_FAILURE
 
@@ -127,7 +137,7 @@ class TestClassifyValidity:
             log_with(100), pairing_with(100, 0), meta(), transitions_recovered=202,
             separation=sep,
         )
-        assert classify_run_validity(rep) is ValidityClass.A
+        assert rep.validity is ValidityClass.A
 
     @pytest.mark.parametrize(
         "pairs,unmatched,transitions",
@@ -137,15 +147,16 @@ class TestClassifyValidity:
         marker_found = transitions > 0
         rep = detect_decoupling(
             log_with(100), pairing_with(pairs, unmatched, marker_found=marker_found),
-            meta(), transitions_recovered=transitions,
+            meta(), transitions_recovered=transitions, separation=SEPARATED,
         )
-        assert classify_run_validity(rep) is ValidityClass.B
+        assert rep.validity is ValidityClass.B
 
     def test_incomplete_software_is_c(self):
         rep = detect_decoupling(
-            log_with(87), pairing_with(87, 0), meta(), transitions_recovered=176
+            log_with(87), pairing_with(87, 0), meta(), transitions_recovered=176,
+            separation=SEPARATED,
         )
-        assert classify_run_validity(rep) is ValidityClass.C
+        assert rep.validity is ValidityClass.C
 
     def test_marker_overlap_is_d(self):
         sep = validate_marker_separation(200.0, [249.56])
@@ -153,7 +164,7 @@ class TestClassifyValidity:
             log_with(100), pairing_with(100, 0), meta(), transitions_recovered=202,
             separation=sep,
         )
-        assert classify_run_validity(rep) is ValidityClass.D
+        assert rep.validity is ValidityClass.D
 
     def test_d_takes_precedence_over_c(self):
         sep = validate_marker_separation(200.0, [249.56])
@@ -161,7 +172,7 @@ class TestClassifyValidity:
             log_with(87), pairing_with(87, 0), meta(), transitions_recovered=176,
             separation=sep,
         )
-        assert classify_run_validity(rep) is ValidityClass.D
+        assert rep.validity is ValidityClass.D
 
     def test_degrading_external_stream_never_improves_class(self):
         # same complete log, progressively fewer paired pulses
@@ -173,8 +184,9 @@ class TestClassifyValidity:
                 pairing_with(pairs, 100 - pairs, marker_found=marker),
                 meta(),
                 transitions_recovered=transitions,
+                separation=SEPARATED,
             )
-            classes.append(classify_run_validity(rep))
+            classes.append(rep.validity)
         order = {ValidityClass.A: 0, ValidityClass.B: 1, ValidityClass.C: 2, ValidityClass.D: 3}
         ranks = [order[c] for c in classes]
         assert ranks == sorted(ranks)
@@ -191,6 +203,8 @@ def classified(mode, validity, run_id="r"):
         transitions_expected=200,
         pairs_formed=100,
         failure_mode=mode,
+        loss_fraction=None,
+        decoupled=mode is not FailureMode.HEALTHY,
         validity=validity,
     )
 
@@ -222,15 +236,54 @@ class TestClaimFiltering:
         views = split_claim_views(runs)
         assert views.external == () and views.software_only == ()
 
-    def test_unclassified_runs_rejected(self):
-        rep = dataclasses.replace(self.corpus()[0], validity=None)
-        with pytest.raises(ValueError, match="no validity class"):
-            split_claim_views([rep])
-
 
 def test_report_serialization_includes_class_letter():
-    rep = detect_decoupling(log_with(100), pairing_with(60, 40), meta(), transitions_recovered=122)
-    d = report_to_dict(rep)
+    rep = detect_decoupling(log_with(100), pairing_with(60, 40), meta(), transitions_recovered=122,
+                            separation=SEPARATED)
+    d = to_json(rep)
     assert d["validity"]["class"] == "B"
     assert d["failure_mode"] == "partial_transition_loss"
     assert d["loss_fraction"] == pytest.approx(0.40)
+
+
+def legacy_report_dict(report):
+    """The dict the hand-written report serializer wrote before `to_json`."""
+    return {
+        "run_id": report.run_id,
+        "software_complete": report.software_complete,
+        "marker_found": report.marker_found,
+        "transitions_recovered": report.transitions_recovered,
+        "transitions_expected": report.transitions_expected,
+        "pairs_formed": report.pairs_formed,
+        "failure_mode": report.failure_mode.value,
+        "loss_fraction": report.loss_fraction,
+        "decoupled": report.software_complete and report.failure_mode is not FailureMode.HEALTHY,
+        "validity": {"class": report.validity.name, "label": report.validity.value},
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(FaultKind),
+    drop_fraction=st.floats(0.01, 0.99),
+    complete=st.booleans(),
+    line_absent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_encoder_matches_the_legacy_report_dict(kind, drop_fraction, complete, line_absent, seed):
+    """For every fault kind, and with complete and truncated software logs,
+    the generic encoder writes the same JSON bytes the hand-written one did."""
+    overlap = kind is FaultKind.MARKER_OVERLAP  # a 5 ms marker over ~1.2 ms pulses
+    fault = FaultSpec(kind=kind,
+                      drop_fraction=drop_fraction if kind is FaultKind.PARTIAL_LOSS else None,
+                      marker_width_ms=5.0 if overlap else None)
+    m = meta(iterations_expected=20, warmup_iterations=3, gpio_line_verified_absent=line_absent,
+             **({"marker_width_ms": 5.0, "marker_threshold_ms": 4.0} if overlap else {}))
+    run = gen_run(Gaussian(1.228, 0.06), m, fault=fault, seed=seed)
+    rows = 20 if complete else 11
+    log = dataclasses.replace(run.log, iterations=run.log.iterations[:rows],
+                              latencies_ms=run.log.latencies_ms[:rows])
+    report = analyze(log, run.stream, m).report
+    got, want = to_json(report), legacy_report_dict(report)
+    assert got == want
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
