@@ -15,7 +15,9 @@ latencies; all widths downstream are reported in milliseconds.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,22 +188,126 @@ _TRANSITION_COLUMNS = ((np.float64, "bad time value"), (np.int64, "level must be
 _SOFTWARE_COLUMNS = ((np.int64, "bad iteration index"), (np.float64, "bad latency value"))
 
 
-def _read_csv(path: Path, header: str, columns) -> np.ndarray:
-    """The rows of a two-column CSV as a structured array, one field per header name.
+def _read_csv(path: Path, header: str, columns) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a two-column CSV, one array per header name.
 
-    Empty lines are skipped; a header-only file yields no rows.
+    Empty lines are skipped; a header-only file yields no rows. A file of
+    at least `_KERNEL_MIN_BYTES` is first offered to `_fixed_layout`; what
+    it declines, and every smaller file, goes through np.loadtxt. Both give
+    the same arrays, and only np.loadtxt raises.
     """
     dtype = [(name, t) for name, (t, _) in zip(header.split(","), columns)]
     with path.open() as fh:
+        if os.fstat(fh.fileno()).st_size >= _KERNEL_MIN_BYTES:
+            parsed = _fixed_layout(fh.buffer.read(), header, columns)
+            if parsed is not None:
+                return parsed
+            fh.seek(0)
         first = fh.readline().rstrip("\n")
         if first != header:
             raise FormatError(f"{path}:1: expected header '{header}', got {first!r}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
             raise _unparsable(path, columns, exc) from None
+    return rows[dtype[0][0]], rows[dtype[1][0]]
+
+
+#: Smaller files skip the kernel, whose fixed cost per file makes it slower on 100 rows.
+_KERNEL_MIN_BYTES = 1 << 16
+
+#: Rows parsed per kernel step: bounds the digit matrices held at once.
+_PARSE_CHUNK_ROWS = 1 << 12
+
+#: The kernel declines a file with this many runs of rows of one layout or more.
+_MAX_RUNS = 64
+
+#: Digits per field, so that every field is an integer below 2**53 before its point is placed.
+_MAX_DIGITS = 15
+
+
+def _fixed_layout(data: bytes, header: str, columns) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns np.loadtxt reads from the bytes `data`, or None if this kernel declines.
+
+    It takes a file whose lines end in LF, the last one included, and whose
+    rows fall into fewer than `_MAX_RUNS` runs of one layout. Every field
+    must be `digits[.digits]` (`digits` for an int column) with at most
+    `_MAX_DIGITS` digits. A run's layout comes from its first row and holds
+    until a row does not fit it, where the next run begins. A field is then
+    `v / 10**k` with `v` and every partial sum of the matrix product that
+    builds it exact integers below 2**53, so the one division rounds as
+    strtod does (Clinger's fast path). Nothing but the two columns grows
+    with the file.
+    """
+    head = header.encode() + b"\n"
+    if not (data.startswith(head) and data.endswith(b"\n")):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = data.count(b"\n") - 1
+    out = tuple(np.empty(n, dtype=dtype) for dtype, _ in columns)
+    row, start = 0, len(head)
+    for _ in range(_MAX_RUNS):
+        if row == n:
+            return out
+        line = data.index(b"\n", start) + 1 - start
+        layout = _row_layout(data[start:start + line], columns)
+        if layout is None:
+            return None
+        # Tiled over a chunk, base and limit check it in one pass over contiguous bytes.
+        base, limit, weights, scales = layout
+        base, limit = np.tile(base, _PARSE_CHUNK_ROWS), np.tile(limit, _PARSE_CHUNK_ROWS)
+        first = row
+        while row < n:
+            rows = min(n - row, _PARSE_CHUNK_ROWS)
+            fit = min(rows, (buf.size - start) // line)
+            digits = buf[start:start + fit * line] - base[:fit * line]  # wraps below the base
+            bad = digits > limit[:fit * line]
+            if bad.any():  # the run ends at the first row that does not fit its layout
+                fit = int(bad.reshape(-1, line).any(axis=1).argmax())
+            values = digits[:fit * line].reshape(fit, line) @ weights
+            for col, scale, v in zip(out, scales, values.T):
+                np.divide(v, scale, out=col[row:row + fit], casting="unsafe")
+            row, start = row + fit, start + fit * line
+            if fit < rows:
+                break
+        if row == first:  # the run's first row does not fit its own layout
+            return None
+    return None
+
+
+def _row_layout(line: bytes, columns):
+    """(base, limit, weights, scales) for the lines laid out like `line`, or None.
+
+    A line's bytes less `base` are at most `limit` (9 at a digit, 0 at the
+    comma, a point and the newline) exactly when the line has this layout.
+    Its digits times `weights` (a length x 2 matrix of powers of ten) are
+    each field's digits read as one integer, and dividing that by `scales`
+    places the point.
+    """
+    fields = line[:-1].split(b",")
+    if len(fields) != 2:
+        return None
+    base = np.full(len(line), ord("0"), dtype=np.uint8)
+    limit = np.full(len(line), 9, dtype=np.uint8)
+    weights = np.zeros((len(line), 2))
+    scales = []
+    at = 0
+    for col, (field, (dtype, _)) in enumerate(zip(fields, columns)):
+        whole, point, frac = field.partition(b".")
+        ndigits = len(whole) + len(frac)
+        if not whole or (point and (not frac or dtype is not np.float64)) or ndigits > _MAX_DIGITS:
+            return None
+        places = at + np.r_[:len(whole), len(whole) + len(point):len(field)]
+        weights[places, col] = 10 ** np.arange(ndigits - 1, -1, -1)  # exact int64 powers
+        if point:
+            base[at + len(whole)], limit[at + len(whole)] = ord("."), 0
+        scales.append(float(10 ** len(frac)))
+        at += len(field) + 1
+    for sep in (len(fields[0]), -1):  # the comma and the newline
+        base[sep], limit[sep] = line[sep], 0
+    return base, limit, weights, scales
 
 
 def _data_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +322,7 @@ def _first_unconvertible(cells: np.ndarray, dtype) -> int | None:
     try:
         cells.astype(dtype)
         return None
-    except ValueError:
+    except (ValueError, OverflowError):  # an int64 cell of 20 digits overflows
         pass
     lo, hi = 0, cells.size  # cells[lo:hi] holds the first bad cell
     while hi - lo > 1:
@@ -224,7 +330,7 @@ def _first_unconvertible(cells: np.ndarray, dtype) -> int | None:
         try:
             cells[lo:mid].astype(dtype)
             lo = mid
-        except ValueError:
+        except (ValueError, OverflowError):
             hi = mid
     return lo
 
@@ -246,9 +352,16 @@ def _unparsable(path: Path, columns, exc: ValueError) -> FormatError:
 
 
 def _located(path: Path, exc: IntegrityError) -> ValueError:
-    """The loader's form of a validator error: prefixed by file and line."""
+    """The loader's form of a validator error: prefixed by file and line.
+
+    Lines are counted as np.loadtxt saw them: in text mode, skipping empty
+    ones. They are read one at a time, so no copy of the whole file is held.
+    """
     cls = FormatError if exc.malformed else IntegrityError
-    return cls(f"{path}:{_data_lines(path)[1][exc.row]}: {exc}")
+    with path.open() as fh:
+        filled = (lineno for lineno, line in enumerate(fh, 1) if line != "\n")
+        lineno = next(itertools.islice(filled, exc.row + 1, None))  # the header fills line 1
+    return cls(f"{path}:{lineno}: {exc}")
 
 
 #: Rows formatted per write: bounds the digit matrices held at once.
@@ -350,8 +463,7 @@ def load_transition_stream(path: str | Path) -> TransitionStream:
     non-monotone times or repeated levels raise IntegrityError.
     """
     path = Path(path)
-    rows = _read_csv(path, TRANSITION_HEADER, _TRANSITION_COLUMNS)
-    levels = rows["level"]
+    times, levels = _read_csv(path, TRANSITION_HEADER, _TRANSITION_COLUMNS)
     try:
         bad = _first((levels != 0) & (levels != 1))
         if bad is not None:
@@ -361,7 +473,7 @@ def load_transition_stream(path: str | Path) -> TransitionStream:
             raise IntegrityError(f"repeated level {levels[repeat]} (edges must alternate)", repeat)
         # A first edge that falls means the line was high at capture start.
         initial_level = 1 - int(levels[0]) if levels.size else 0
-        return TransitionStream(rows["time_s"], initial_level)
+        return TransitionStream(times, initial_level)
     except IntegrityError as exc:
         raise _located(path, exc) from None
 
@@ -382,13 +494,13 @@ def load_software_log(path: str | Path, expected: int, run_id: str | None = None
     loads fine and reports complete=False.
     """
     path = Path(path)
-    rows = _read_csv(path, SOFTWARE_HEADER, _SOFTWARE_COLUMNS)
+    iterations, latencies = _read_csv(path, SOFTWARE_HEADER, _SOFTWARE_COLUMNS)
     try:
         return SoftwareTimingLog(
             run_id=run_id if run_id is not None else path.stem,
             iterations_expected=expected,
-            iterations=rows["iteration"],
-            latencies_ms=rows["latency_ms"],
+            iterations=iterations,
+            latencies_ms=latencies,
         )
     except IntegrityError as exc:
         raise _located(path, exc) from None

@@ -276,4 +276,8 @@ def load_scenario(path: str | Path, master_seed: int | None = None) -> list[Gene
         raise ValueError(f"{path}: missing scenario key {exc.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
         raise ValueError(f"{path}: {exc}") from None
-    return gen_condition(dist, meta, n_runs=n_runs, master_seed=seed, fault=fault, gap_ms=gap_ms)
+    try:
+        return gen_condition(dist, meta, n_runs=n_runs, master_seed=seed, fault=fault,
+                             gap_ms=gap_ms)
+    except ValueError as exc:  # a count the generator rejects, such as n_runs 0
+        raise ValueError(f"{path}: {exc}") from None

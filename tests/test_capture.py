@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -197,6 +198,11 @@ class TestSoftwareLogLoad:
         with pytest.raises(FormatError, match=":3:.*duplicate"):
             load_software_log(p, expected=2)
 
+    def test_index_beyond_int64_is_a_located_format_error(self, tmp_path):
+        p = write(tmp_path, "s.csv", "iteration,latency_ms\n0,1.0\n77777777777777777777,1.0\n")
+        with pytest.raises(FormatError, match=r"s\.csv:3: bad iteration index '7{20}'"):
+            load_software_log(p, expected=2)
+
     def test_direct_construction_uses_the_same_validator(self):
         with pytest.raises(IntegrityError, match="not strictly ascending"):
             SoftwareTimingLog(run_id="r", iterations_expected=2, iterations=[1, 0],
@@ -296,11 +302,19 @@ def hard_floats(n):
 
 
 @st.composite
-def csv_columns(draw):
-    """(columns, decimals): one float column of N decimals beside an int64 column."""
+def csv_columns(draw, plain=False):
+    """(columns, decimals): one float column of N decimals beside an int64 column.
+
+    Plain columns hold only what the reader's kernel takes: non-negative
+    fields of at most 15 digits, in at most 40 rows and so in fewer runs of
+    one layout than it allows.
+    """
     n = draw(st.integers(0, 9))
-    rows = draw(st.lists(st.tuples(hard_floats(n), st.integers(-(2 ** 63), 2 ** 63 - 1)),
-                         max_size=40))
+    if plain:
+        cells = st.tuples(st.floats(0, 10.0 ** (15 - n) - 1), st.integers(0, 10 ** 15 - 1))
+    else:
+        cells = st.tuples(hard_floats(n), st.integers(-(2 ** 63), 2 ** 63 - 1))
+    rows = draw(st.lists(cells, max_size=40))
     floats = np.array([f for f, _ in rows], dtype=np.float64)
     ints = np.array([i for _, i in rows], dtype=np.int64)
     if draw(st.booleans()):
@@ -329,3 +343,73 @@ def test_writer_rejects_non_finite_values(tmp_path, bad):
 def test_writer_with_no_rows_writes_the_header_only(tmp_path):
     _write_csv(tmp_path / "x.csv", "a,b", (np.zeros(0), np.zeros(0, dtype=np.int64)), (9, None))
     assert (tmp_path / "x.csv").read_bytes() == b"a,b\n"
+
+
+# ---------------------------------------------------------------------------
+# The CSV reader's kernel against np.loadtxt, its reference
+
+#: Bytes inserted into a written file: signs, exponents, spaces, CR, empty lines,
+#: `.5` and `5.`, second commas, 16+ digits, leading zeros and non-ASCII bytes.
+EDITS = [b"-", b"+", b"e3", b"E-2", b" ", b"\r", b"\n", b".", b",", b"0", b"000",
+         b"7" * 16, b"\xc3\xa9", b"\xff"]
+
+
+def read_both_ways(path, columns):
+    """_read_csv's result, or its error's type and text, by the kernel and by np.loadtxt."""
+    results = []
+    for min_bytes in (0, math.inf):
+        with mock.patch.object(capture, "_KERNEL_MIN_BYTES", min_bytes):
+            try:
+                results.append(capture._read_csv(path, "a,b", columns))
+            except ValueError as exc:  # UnicodeDecodeError included
+                results.append((type(exc), str(exc)))
+    return results
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_reader_kernel_matches_loadtxt(chunk_rows, data):
+    plain = data.draw(st.booleans())
+    values, decimals = data.draw(csv_columns(plain))
+    columns = [(np.int64, "bad int") if n is None else (np.float64, "bad float") for n in decimals]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        _write_csv(path, "a,b", values, decimals)
+        raw = path.read_bytes()
+        edit = data.draw(st.sampled_from([None, b"", *EDITS]))  # b"": drop the final newline
+        if edit == b"":
+            raw = raw[:-1]
+        elif edit is not None:
+            marks = [i for i in range(len(raw) + 1)
+                     if raw[i - 1:i] in (b"\n", b",") or raw[i:i + 1] in (b"\n", b",", b".")]
+            at = data.draw(st.sampled_from(marks) | st.integers(0, len(raw)))
+            raw = raw[:at] + edit + raw[at:]
+        path.write_bytes(raw)
+        if plain and edit is None:
+            assert capture._fixed_layout(raw, "a,b", columns) is not None
+        with mock.patch.object(capture, "_PARSE_CHUNK_ROWS", chunk_rows):  # cross chunk edges
+            kernel, reference = read_both_ways(path, columns)
+    if isinstance(reference[0], type):
+        assert kernel == reference
+        return
+    assert [c.dtype for c in kernel] == [c.dtype for c in reference]
+    for got, want in zip(kernel, reference):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_last_row_error_is_located_without_a_copy_of_the_file(tmp_path):
+    n = 100_000
+    iterations = np.arange(n)
+    iterations[-1] = iterations[-2]
+    path = tmp_path / "s.csv"
+    _write_csv(path, capture.SOFTWARE_HEADER, (iterations, np.ones(n)), (None, 6))
+    with pytest.raises(FormatError, match=rf"s\.csv:{n + 1}: duplicate iteration index"):
+        load_software_log(path, expected=n)
+    tracemalloc.start()
+    try:
+        located = capture._located(path, IntegrityError("bad", row=n - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(located) == f"{path}:{n + 1}: bad"
+    assert peak < 2 * path.stat().st_size

@@ -192,16 +192,20 @@ BAD_INPUTS.update({
                           "warmup_iterations": 5.5}),
     "fractional_scenario_seed": _bad_scenario(master_seed=1.5),
     "scenario_meta_not_an_object": _bad_scenario(meta=[]),
+    "zero_scenario_runs": _bad_scenario(n_runs=0),
 })
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_one_with_one_error_line(case, corpora, tmp_path, capsys):
-    rc = main(BAD_INPUTS[case](corpora, tmp_path))
+    argv = BAD_INPUTS[case](corpora, tmp_path)
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 1
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
+    if argv[0] == "synth":  # a scenario error names its file
+        assert argv[1] in err
 
 
 class TestParserReuse:
