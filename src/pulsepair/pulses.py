@@ -57,7 +57,8 @@ class MarkerSeparationCheck:
 class PairingResult:
     """Software rows paired by index with post-marker inference pulses.
 
-    Pair k is (iterations[k], software_ms[k], external_ms[k]).
+    Pair k is (iterations[k], software_ms[k], external_ms[k]); the three
+    columns have one length, checked on construction.
     `inference_pulses` counts every post-marker inference pulse the
     capture holds, paired or not; the unmatched fields are counts.
     `extra_markers` counts the marker-width pulses after the first one.
@@ -73,6 +74,11 @@ class PairingResult:
     pre_marker_pulses: int
     extra_markers: int
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.iterations.size == self.software_ms.size == self.external_ms.size:
+            sizes = (self.iterations.size, self.software_ms.size, self.external_ms.size)
+            raise ValueError(f"pair columns differ in length: {sizes}")
 
     @property
     def pairs(self) -> np.ndarray:

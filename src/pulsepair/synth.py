@@ -26,6 +26,7 @@ from .capture import (
     RunMetadata,
     SoftwareTimingLog,
     TransitionStream,
+    _cells,
     dump_run_metadata,
     dump_software_log,
     dump_transition_stream,
@@ -107,6 +108,7 @@ class FaultKind(enum.Enum):
     PARTIAL_LOSS = "partial_loss"
     EMPTY_CAPTURE = "empty_capture"
     MARKER_OVERLAP = "marker_overlap"
+    MARKER_LOSS = "marker_loss"
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,42 @@ class GroundTruth:
             "pulses_emitted": self.pulses_emitted,
         }
 
+    def to_json_text(self) -> str:
+        """The bytes of ground_truth.json: `json.dumps(self.to_dict(), indent=2,
+        sort_keys=True) + "\n"`, with the latencies written by the CSV digit kernel.
+
+        Python's round(v, 6) returns v itself wherever np.round(v, 6) == v.
+        Below 2**33, v is then the double nearest k/10^6 for an exact integer
+        k, less than half a micro from it, since doubles there are less than
+        1e-6 apart. From 2**33 up they are more than 1e-6 apart, and round
+        keeps every value. Only the other values go through round.
+
+        Each finite value is then the double nearest some k/10^6. From 1e-4
+        to 2**33 its repr is k/10^6's digits, its `%.6f` text without
+        trailing zeros: any other decimal of as few digits is at least 1e-6
+        away, farther than the doubles' spacing, and repr is positional
+        there. Every other value takes json's own text.
+        """
+        a = np.array(self.true_latencies_ms, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            unrounded = np.flatnonzero(np.round(a, 6) != a)
+        for i in unrounded.tolist():
+            a[i] = round(float(a[i]), 6)
+        mag = np.abs(a)
+        fixed = (mag >= 1e-4) & (mag < 2.0**33)
+        mat, mask = _cells(np.where(fixed, a, 0.0), 6, ",")
+        zeros = np.ones(a.size, dtype=bool)
+        for j in range(-2, -7, -1):  # the sixth decimal to the second
+            zeros &= mat[:, j] == ord("0")
+            mask[:, j] &= ~zeros
+        cells = mat[mask].tobytes().decode().split(",")[:-1]
+        for i in np.flatnonzero(~fixed).tolist():
+            cells[i] = json.dumps(float(a[i]))
+        latencies = "[\n    " + ",\n    ".join(cells) + "\n  ]" if cells else "[]"
+        key = '\n  "true_latencies_ms": '
+        head = json.dumps(replace(self, true_latencies_ms=()).to_dict(), indent=2, sort_keys=True)
+        return head.replace(key + "[]", key + latencies) + "\n"
+
 
 @dataclass(frozen=True, eq=False)
 class GeneratedRun:
@@ -209,6 +247,8 @@ def gen_run(
         keep[first_inference:] = False
     elif fault.kind is FaultKind.PARTIAL_LOSS:
         keep[first_inference:] = rng.random(meta.iterations_expected) >= fault.drop_fraction
+    elif fault.kind is FaultKind.MARKER_LOSS:
+        keep[meta.warmup_iterations] = False
     kept_pulses = int(keep[first_inference:].sum())
 
     stream = TransitionStream(edges[keep].ravel(), initial_level=0)
@@ -239,7 +279,8 @@ def _expected_outcome(
     Partial loss is resolved against the realized drop count: dropping
     everything presents as post-marker collapse, dropping nothing as
     healthy. An empty capture on a line verified absent is a methodology
-    failure, not decoupling.
+    failure, not decoupling. A lost marker leaves every inference pulse
+    captured but nothing to anchor them: a pairing failure, not overlap.
     """
     if fault.kind is FaultKind.EMPTY_CAPTURE:
         if meta.gpio_line_verified_absent:
@@ -249,6 +290,8 @@ def _expected_outcome(
         return FailureMode.POST_MARKER_COLLAPSE, ValidityClass.B
     if fault.kind is FaultKind.MARKER_OVERLAP:
         return FailureMode.MARKER_OVERLAP, ValidityClass.D
+    if fault.kind is FaultKind.MARKER_LOSS:
+        return FailureMode.PAIRING_FAILURE, ValidityClass.B
     if fault.kind is FaultKind.PARTIAL_LOSS:
         if kept_pulses == 0:
             return FailureMode.POST_MARKER_COLLAPSE, ValidityClass.B
@@ -284,9 +327,7 @@ def write_run_dir(run: GeneratedRun, out_dir: str | Path) -> Path:
     dump_software_log(run.log, out / "software.csv")
     dump_transition_stream(run.stream, out / "transitions.csv")
     dump_run_metadata(run.meta, out / "metadata.json")
-    (out / "ground_truth.json").write_text(
-        json.dumps(run.truth.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    (out / "ground_truth.json").write_text(run.truth.to_json_text())
     return out
 
 

@@ -420,6 +420,20 @@ class TestSynthCommand:
         rc = main(["analyze", str(dirs[0])])
         assert rc == 0
 
+    def test_scenario_marker_loss_reads_as_pairing_failure(self, tmp_path, capsys):
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps({**SCENARIO, "fault": {"kind": "marker_loss"}}))
+        assert main(["synth", str(spec), "--out-dir", str(tmp_path / "out")]) == 0
+        run = tmp_path / "out" / "scenario_001"
+        truth = json.loads((run / "ground_truth.json").read_text())
+        assert (truth["expected_validity"], truth["expected_failure_mode"]) == \
+            ("B", "pairing_failure")
+        capsys.readouterr()
+        assert main(["analyze", str(run), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["validity"]["class"] == "B"
+        assert report["decoupling"]["failure_mode"] == "pairing_failure"
+
     def test_scenario_master_seed_applies_without_seed_option(self, tmp_path, capsys):
         scenario = {
             "n_runs": 1,

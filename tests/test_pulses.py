@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from pulsepair.capture import DEFAULT_SAMPLE_PERIOD_S, SoftwareTimingLog, TransitionStream
 from pulsepair.pulses import (
+    PairingResult,
     classify_pulses,
     extract_pulses,
     pair_intervals,
@@ -153,6 +154,18 @@ class TestMarkerSeparation:
         with pytest.raises(ValueError, match="min_margin"):
             validate_marker_separation(200.0, [1.0], min_margin=min_margin)
 
+    def test_ratio_of_exactly_min_margin_passes(self):
+        chk = validate_marker_separation(400.0, [1.5, 100.0], min_margin=4.0)
+        assert chk.margin_ratio == 4.0
+        assert chk.passed
+        assert not validate_marker_separation(400.0, [1.5, 100.0001], min_margin=4.0).passed
+
+    def test_min_margin_below_one_is_accepted(self):
+        # a marker narrower than the widest inference pulse, tolerated on purpose
+        chk = validate_marker_separation(200.0, [1.0, 300.0], min_margin=0.5)
+        assert chk.min_margin == 0.5
+        assert chk.passed
+
 
 def classified_run(n_inference, warmup=0, extra_markers=0):
     """Pulse widths (ms) and the marker mask of one classified run."""
@@ -190,7 +203,7 @@ class TestPairIntervals:
     def test_no_marker_means_no_pairs(self):
         res = pair_intervals(make_log(100), np.full(20, 1.5), np.zeros(20, dtype=bool))
         assert not res.marker_found
-        assert res.iterations.size == 0
+        assert res.iterations.size == res.software_ms.size == res.external_ms.size == 0
         assert res.unmatched_software == 100
         assert res.unmatched_pulses == 20
 
@@ -213,3 +226,14 @@ class TestPairIntervals:
         assert len(res.pairs) == 10
         assert res.unmatched_pulses == 2
         assert any("extra marker" in w for w in res.warnings)
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 3), (3, 3, 2), (2, 3, 3), (0, 1, 0)])
+def test_pair_columns_must_have_equal_lengths(sizes):
+    i, sw, ext = sizes
+    with pytest.raises(ValueError, match="pair columns"):
+        PairingResult(
+            iterations=np.arange(i), software_ms=np.ones(sw), external_ms=np.ones(ext),
+            unmatched_software=0, unmatched_pulses=0, inference_pulses=3, marker_found=True,
+            pre_marker_pulses=0, extra_markers=0,
+        )

@@ -1,10 +1,11 @@
 import dataclasses
 import filecmp
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pulsepair.analysis import analyze
 from pulsepair.capture import RunMetadata, TransitionStream
@@ -13,6 +14,7 @@ from pulsepair.synth import (
     FaultKind,
     FaultSpec,
     Gaussian,
+    GroundTruth,
     Mixture,
     Spiked,
     gen_condition,
@@ -99,6 +101,16 @@ class TestGenRun:
         assert 0 < kept < 100
         assert len(run.stream) == 2 + 20 + 2 * kept  # never an odd edge count
 
+    def test_marker_loss_drops_only_the_marker(self):
+        intact = gen_run(DIST, trt_meta(), seed=0).stream.times_s
+        run = gen_run(DIST, trt_meta(), fault=FaultSpec(kind=FaultKind.MARKER_LOSS), seed=0)
+        # the marker is pulse 10, after the 10 warmup pulses: edges 20 and 21
+        assert np.array_equal(run.stream.times_s, np.delete(intact, [20, 21]))
+        assert run.truth.pulses_emitted == 100
+        # every inference pulse is captured but nothing anchors them: B, never D
+        assert run.truth.expected_failure_mode is FailureMode.PAIRING_FAILURE
+        assert run.truth.expected_validity is ValidityClass.B
+
     def test_software_log_always_complete(self):
         for kind in FaultKind:
             fault = FaultSpec(
@@ -137,9 +149,10 @@ class TestOracleClosure:
             FaultSpec(kind=FaultKind.POST_MARKER_COLLAPSE),
             FaultSpec(kind=FaultKind.PARTIAL_LOSS, drop_fraction=0.4),
             FaultSpec(kind=FaultKind.EMPTY_CAPTURE),
+            FaultSpec(kind=FaultKind.MARKER_LOSS),
         ],
         ids=["none", "wide_overhead_bound", "post_marker_collapse", "partial_loss",
-             "empty_capture"],
+             "empty_capture", "marker_loss"],
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pipeline_recovers_injected_failure_mode(self, fault, seed):
@@ -280,6 +293,48 @@ class TestGenCondition:
         assert len(high) + len(low) == len(sds)
 
 
+#: Latencies whose JSON text takes every path: 6-digit values, unrounded
+#: ones, exponent reprs below 1e-4, values past 2**33 and 2**53 / 1e6, -0.0,
+#: and the non-finite values json writes as NaN and Infinity.
+LATENCIES = st.one_of(
+    st.integers(-10**16, 10**16).map(lambda k: k / 1e6),
+    st.floats(),
+    st.floats(0, 1e-4),
+    st.floats(2.0**33, 2.0**60),
+    st.just(-0.0),
+)
+
+
+@settings(deadline=None)
+@given(
+    kind=st.sampled_from(FaultKind),
+    latencies=st.lists(LATENCIES, max_size=12),
+    run_id=st.text(max_size=30),
+    mode=st.sampled_from(FailureMode),
+    validity=st.sampled_from(ValidityClass),
+    seed=st.integers(0, 2**64 - 1),
+    emitted=st.integers(0, 10**6),
+)
+@example(kind=FaultKind.NONE, latencies=[], run_id="r", mode=FailureMode.HEALTHY,
+         validity=ValidityClass.A, seed=0, emitted=0)
+@example(kind=FaultKind.NONE, latencies=[1.0000005, 0.0078125, 2.5e-05, 9007199254.740993, -0.0],
+         run_id='\n  "true_latencies_ms": []', mode=FailureMode.HEALTHY, validity=ValidityClass.A,
+         seed=0, emitted=0)
+@example(kind=FaultKind.NONE, latencies=[1e-4, 9.9e-05, 0.1, 123.0, 1.234567, 6e8 + 0.000001,
+                                         2.0**33 - 1e-6, 2.0**33, 8589934592.000019, math.inf,
+                                         -1.5, math.nan],
+         run_id="r", mode=FailureMode.HEALTHY, validity=ValidityClass.A, seed=0, emitted=0)
+def test_ground_truth_text_is_the_indented_dump(kind, latencies, run_id, mode, validity, seed,
+                                                emitted):
+    fault = FaultSpec(kind=kind,
+                      drop_fraction=0.4 if kind is FaultKind.PARTIAL_LOSS else None,
+                      marker_width_ms=200.0 if kind is FaultKind.MARKER_OVERLAP else None)
+    truth = GroundTruth(run_id=run_id, seed=seed, fault=fault, expected_failure_mode=mode,
+                        expected_validity=validity, true_latencies_ms=tuple(latencies),
+                        pulses_emitted=emitted)
+    assert truth.to_json_text() == json.dumps(truth.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def test_ground_truth_sidecar_fields(tmp_path):
     run = gen_run(DIST, trt_meta(), fault=FaultSpec(kind=FaultKind.PARTIAL_LOSS, drop_fraction=0.4), seed=0)
     write_run_dir(run, tmp_path)
@@ -288,3 +343,4 @@ def test_ground_truth_sidecar_fields(tmp_path):
     assert truth["expected_validity"] == "B"
     assert len(truth["true_latencies_ms"]) == 100
     assert truth["fault"]["drop_fraction"] == 0.4
+    assert (tmp_path / "ground_truth.json").read_text() == run.truth.to_json_text()

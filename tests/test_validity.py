@@ -287,3 +287,16 @@ def test_encoder_matches_the_legacy_report_dict(kind, drop_fraction, complete, l
     got, want = to_json(report), legacy_report_dict(report)
     assert got == want
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("iterations,warning", [
+    (np.arange(50), "software log incomplete: 50 of 100 rows, indices 0..49 (expected 0..99)"),
+    (np.delete(np.arange(101), 50),
+     "software log incomplete: 100 of 100 rows, indices 0..100 (expected 0..99)"),
+    (np.arange(0), "software log incomplete: 0 of 100 rows"),
+])
+def test_incomplete_log_warning_text(iterations, warning):
+    run = gen_run(Gaussian(1.228, 0.06), meta(), seed=0)
+    log = dataclasses.replace(run.log, iterations=iterations,
+                              latencies_ms=np.full(iterations.size, 1.2))
+    assert warning in analyze(log, run.stream, run.meta).warnings
