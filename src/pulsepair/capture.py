@@ -178,6 +178,9 @@ class RunMetadata:
             raise IntegrityError("iterations_expected must be positive")
         if not self.sample_period_s > 0:
             raise IntegrityError(f"sample_period_s must be positive, got {self.sample_period_s}")
+        if not isinstance(self.gpio_line_verified_absent, bool):  # bool("false") is True
+            raise IntegrityError("gpio_line_verified_absent must be true or false, got "
+                                 f"{self.gpio_line_verified_absent!r}", malformed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def _read_csv(path: Path, header: str, columns) -> tuple[np.ndarray, np.ndarray]
     the same arrays, and only np.loadtxt raises.
     """
     dtype = [(name, t) for name, (t, _) in zip(header.split(","), columns)]
-    with path.open() as fh:
+    with path.open(errors="surrogateescape") as fh:  # a byte that is not UTF-8 fails to parse
         if os.fstat(fh.fileno()).st_size >= _KERNEL_MIN_BYTES:
             parsed = _fixed_layout(fh.buffer.read(), header, columns)
             if parsed is not None:
@@ -218,7 +221,7 @@ def _read_csv(path: Path, header: str, columns) -> tuple[np.ndarray, np.ndarray]
 #: Smaller files skip the kernel, whose fixed cost per file makes it slower on 100 rows.
 _KERNEL_MIN_BYTES = 1 << 16
 
-#: Rows parsed per kernel step: bounds the digit matrices held at once.
+#: Rows per kernel step and per block of the error scan: bounds what either holds at once.
 _PARSE_CHUNK_ROWS = 1 << 12
 
 #: The kernel declines a file with this many runs of rows of one layout or more.
@@ -310,58 +313,49 @@ def _row_layout(line: bytes, columns):
     return base, limit, weights, scales
 
 
-def _data_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Each data row's text and 1-based line number, skipping empty lines as np.loadtxt does."""
-    lines = np.array(path.read_text().split("\n"), dtype=str)
-    lineno = np.flatnonzero(np.char.str_len(lines) > 0)[1:] + 1
-    return lines[lineno - 1], lineno
+def _data_blocks(path: Path):
+    """The data rows as (line number, text) pairs, in blocks of `_PARSE_CHUNK_ROWS`."""
+    with path.open(errors="surrogateescape") as fh:  # lines counted as np.loadtxt counts them
+        filled = ((n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line != "\n")
+        next(filled)  # the header
+        while block := tuple(itertools.islice(filled, _PARSE_CHUNK_ROWS)):
+            yield block
 
 
 def _first_unconvertible(cells: np.ndarray, dtype) -> int | None:
     """Index of the first cell that does not convert to dtype, found by bisection."""
-    try:
-        cells.astype(dtype)
-        return None
-    except (ValueError, OverflowError):  # an int64 cell of 20 digits overflows
-        pass
-    lo, hi = 0, cells.size  # cells[lo:hi] holds the first bad cell
+    lo, hi = 0, cells.size + 1  # cells[lo:hi] holds the first bad cell; index size means none
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
             cells[lo:mid].astype(dtype)
             lo = mid
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError):  # an int64 cell of 20 digits overflows
             hi = mid
-    return lo
+    return lo if lo < cells.size else None
 
 
 def _unparsable(path: Path, columns, exc: ValueError) -> FormatError:
     """Name the first line np.loadtxt could not parse, and what is wrong with it."""
-    rows, lineno = _data_lines(path)
-    fields = np.char.count(rows, ",") + 1
-    bad = _first(fields != 2)
-    if bad is not None:
-        return FormatError(f"{path}:{lineno[bad]}: expected 2 fields, got {fields[bad]}")
-    cells = np.char.partition(rows, ",")[:, ::2]
-    firsts = [_first_unconvertible(cells[:, col], dtype) for col, (dtype, _) in enumerate(columns)]
-    found = [(row, col) for col, row in enumerate(firsts) if row is not None]
-    if not found:  # np.loadtxt rejects a cell the plain conversion accepts, such as "1_0"
-        return FormatError(f"{path}: {exc}")
-    row, col = min(found)
-    return FormatError(f"{path}:{lineno[row]}: {columns[col][1]} {str(cells[row, col])!r}")
+    for block in _data_blocks(path):
+        lineno, text = zip(*block)
+        cells = np.char.partition(np.array(text, dtype=str), ",")[:, ::2]
+        found = [(row, col) for col, (dtype, _) in enumerate(columns)
+                 if (row := _first_unconvertible(cells[:, col], dtype)) is not None]
+        if found:
+            row, col = min(found)
+            fields = text[row].count(",") + 1  # 1 or 3+ fields leave a bad second cell
+            problem = (f"expected 2 fields, got {fields}" if fields != 2
+                       else f"{columns[col][1]} {str(cells[row, col])!r}")
+            return FormatError(f"{path}:{lineno[row]}: {problem}")
+    return FormatError(f"{path}: {exc}")  # np.loadtxt rejects a cell astype takes, such as "1_0"
 
 
 def _located(path: Path, exc: IntegrityError) -> ValueError:
-    """The loader's form of a validator error: prefixed by file and line.
-
-    Lines are counted as np.loadtxt saw them: in text mode, skipping empty
-    ones. They are read one at a time, so no copy of the whole file is held.
-    """
-    cls = FormatError if exc.malformed else IntegrityError
-    with path.open() as fh:
-        filled = (lineno for lineno, line in enumerate(fh, 1) if line != "\n")
-        lineno = next(itertools.islice(filled, exc.row + 1, None))  # the header fills line 1
-    return cls(f"{path}:{lineno}: {exc}")
+    """The loader's form of a validator error: prefixed by file and line."""
+    block, row = divmod(exc.row, _PARSE_CHUNK_ROWS)
+    lineno, _ = next(itertools.islice(_data_blocks(path), block, None))[row]
+    return (FormatError if exc.malformed else IntegrityError)(f"{path}:{lineno}: {exc}")
 
 
 #: Rows formatted per write: bounds the digit matrices held at once.
@@ -535,22 +529,28 @@ _META_FIELDS = (
 
 
 def load_run_metadata(path: str | Path) -> RunMetadata:
+    """Read metadata.json. Every error names the file, and a bad value its key too."""
     path = Path(path)
-    with path.open() as fh:
-        raw = json.load(fh)
-    missing = [k for k, _ in _META_FIELDS if k not in raw]
-    if missing:
-        raise FormatError(f"{path}: missing metadata keys {missing}")
-    fields = {}
-    for key, convert in _META_FIELDS:
-        try:
-            fields[key] = convert(raw[key])
-        except (TypeError, ValueError):
-            raise FormatError(f"{path}: {key} is not a valid {convert.__name__}: "
-                              f"{raw[key]!r}") from None
-    return RunMetadata(
-        **fields, gpio_line_verified_absent=bool(raw.get("gpio_line_verified_absent", False))
-    )
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise FormatError(f"metadata must be a JSON object, got {type(raw).__name__}")
+        missing = [k for k, _ in _META_FIELDS if k not in raw]
+        if missing:
+            raise FormatError(f"missing metadata keys {missing}")
+        fields = {}
+        for key, convert in _META_FIELDS:
+            try:
+                fields[key] = convert(raw[key])
+            except (TypeError, ValueError):
+                raise FormatError(f"{key} is not a valid {convert.__name__}: "
+                                  f"{raw[key]!r}") from None
+        absent = raw.get("gpio_line_verified_absent", False)
+        return RunMetadata(**fields, gpio_line_verified_absent=absent)
+    except IntegrityError as exc:
+        raise (FormatError if exc.malformed else IntegrityError)(f"{path}: {exc}") from None
+    except ValueError as exc:  # not UTF-8, not JSON, or one of the FormatErrors above
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def dump_run_metadata(meta: RunMetadata, path: str | Path) -> None:

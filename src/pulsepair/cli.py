@@ -2,7 +2,7 @@
 
 Exit codes for `analyze` are a function of the validity class only:
 0 for classes A and B, 2 for class C, 3 for class D, and 1 for usage
-errors and missing/malformed inputs.
+errors, missing or malformed inputs and outputs that cannot be written.
 """
 
 from __future__ import annotations
@@ -100,12 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        rr = analyze_run(args.run_dir, marker_threshold_ms=args.marker_threshold_ms,
-                         min_margin=args.min_margin)
-    except (FileNotFoundError, FormatError, IntegrityError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    rr = analyze_run(args.run_dir, marker_threshold_ms=args.marker_threshold_ms,
+                     min_margin=args.min_margin)
     text = run_report_to_text(rr)
     if args.out is None:
         encoded = run_report_to_json(rr) if args.format == "json" else None
@@ -126,12 +122,8 @@ def _analyze_many(run_dirs: Sequence[Path], args: argparse.Namespace) -> list[Ru
 
 
 def cmd_condition(args: argparse.Namespace) -> int:
-    try:
-        reports = _analyze_many(args.run_dirs, args)
-        baseline_reports = _analyze_many(args.baseline, args) if args.baseline else None
-    except (FileNotFoundError, FormatError, IntegrityError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    reports = _analyze_many(args.run_dirs, args)
+    baseline_reports = _analyze_many(args.baseline, args) if args.baseline else None
     for group in (reports, baseline_reports or ()):
         conditions = sorted({r.meta.condition for r in group})
         if len(conditions) > 1:
@@ -245,11 +237,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse has printed usage and the error; its exit 2 would read as class C
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "condition":
-        return cmd_condition(args)
-    return cmd_synth(args)
+    try:
+        if args.command == "analyze":
+            return cmd_analyze(args)
+        if args.command == "condition":
+            return cmd_condition(args)
+        return cmd_synth(args)
+    except (OSError, FormatError, IntegrityError) as exc:  # each names its file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

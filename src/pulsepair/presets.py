@@ -22,6 +22,7 @@ from .capture import (
     COND_BASELINE,
     COND_MEMORY_STRESS_LIGHT,
     COND_STORAGE_STRESS,
+    DEFAULT_SAMPLE_PERIOD_S,
     RunMetadata,
     integer,
 )
@@ -267,7 +268,7 @@ def load_scenario(path: str | Path, master_seed: int | None = None) -> list[Gene
             marker_threshold_ms=float(m["marker_threshold_ms"]),
             iterations_expected=integer(m["iterations_expected"]),
             warmup_iterations=integer(m["warmup_iterations"]),
-            sample_period_s=float(m.get("sample_period_s", 1e-7)),
+            sample_period_s=float(m.get("sample_period_s", DEFAULT_SAMPLE_PERIOD_S)),
         )
         seed = master_seed if master_seed is not None else integer(raw.get("master_seed", 0))
         n_runs = integer(raw["n_runs"])

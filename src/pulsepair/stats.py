@@ -120,7 +120,7 @@ def run_summary(
     )
 
 
-def condition_summary(runs: Sequence[RunSummary], condition: str | None = None) -> ConditionSummary:
+def condition_summary(runs: Sequence[RunSummary]) -> ConditionSummary:
     """Aggregate per-run summaries into one condition row.
 
     A single-run condition is legitimate (storage stress has few runs),
@@ -129,8 +129,6 @@ def condition_summary(runs: Sequence[RunSummary], condition: str | None = None) 
     if not runs:
         raise ValueError("condition_summary requires at least one run")
     labels = {r.condition for r in runs if r.condition is not None}
-    if condition is not None:
-        labels.add(condition)
     if len(labels) > 1:
         raise ValueError(f"mixed condition labels: {sorted(labels)}")
     label = labels.pop() if labels else ""

@@ -128,8 +128,13 @@ class FaultSpec:
         if self.kind is FaultKind.PARTIAL_LOSS:
             if self.drop_fraction is None or not 0.0 < self.drop_fraction < 1.0:
                 raise ValueError("partial_loss requires drop_fraction in (0, 1)")
-        if self.kind is FaultKind.MARKER_OVERLAP and self.marker_width_ms is None:
-            raise ValueError("marker_overlap requires marker_width_ms")
+        elif self.drop_fraction is not None:
+            raise ValueError(f"drop_fraction applies to partial_loss only, not {self.kind.value}")
+        if self.kind is FaultKind.MARKER_OVERLAP:
+            if self.marker_width_ms is None:
+                raise ValueError("marker_overlap requires marker_width_ms")
+        elif self.marker_width_ms is not None:
+            raise ValueError(f"marker_width_ms applies to marker_overlap only, not {self.kind.value}")
 
 
 NO_FAULT = FaultSpec()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tempfile
@@ -275,6 +276,22 @@ class TestRunMetadata:
         with pytest.raises(FormatError, match="missing metadata keys"):
             load_run_metadata(p)
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_gpio_flag_must_be_a_json_boolean(self, tmp_path, value):
+        # bool("false") is True: a quoted flag would turn class B into D
+        raw = {**dataclasses.asdict(self.meta()), "gpio_line_verified_absent": value}
+        p = write(tmp_path, "m.json", json.dumps(raw))
+        with pytest.raises(FormatError, match="m.json: gpio_line_verified_absent must be"):
+            load_run_metadata(p)
+
+    @pytest.mark.parametrize("text", ['{"run_id": ', "5", '["run_id"]', '"run_id"', b"\xff{}"],
+                             ids=["truncated", "number", "list", "string", "not_utf8"])
+    def test_text_that_is_not_a_json_object_is_a_format_error(self, tmp_path, text):
+        p = tmp_path / "m.json"
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(FormatError, match=r"m\.json: "):
+            load_run_metadata(p)
+
 
 # ---------------------------------------------------------------------------
 # The CSV writer's exactness against Python `%`, its reference
@@ -413,3 +430,154 @@ def test_last_row_error_is_located_without_a_copy_of_the_file(tmp_path):
         tracemalloc.stop()
     assert str(located) == f"{path}:{n + 1}: bad"
     assert peak < 2 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# The reader's error messages against the whole-file scan, their reference
+
+
+def whole_file_unparsable(path, columns, exc):
+    """What `_unparsable` said when it held every line at once: the reference for one bad line.
+
+    It names a wrong field count anywhere before a bad cell, so with two
+    bad lines it may name the later one.
+    """
+    lines = np.array(path.read_text().split("\n"), dtype=str)
+    lineno = np.flatnonzero(np.char.str_len(lines) > 0)[1:] + 1
+    rows = lines[lineno - 1]
+    fields = np.char.count(rows, ",") + 1
+    if (fields != 2).any():
+        bad = int(np.flatnonzero(fields != 2)[0])
+        return FormatError(f"{path}:{lineno[bad]}: expected 2 fields, got {fields[bad]}")
+    cells = np.char.partition(rows, ",")[:, ::2]
+    found = []
+    for col, (dtype, _) in enumerate(columns):
+        for row, cell in enumerate(cells[:, col]):
+            try:
+                np.array([cell]).astype(dtype)
+            except (ValueError, OverflowError):
+                found.append((row, col))
+                break
+    if not found:
+        return FormatError(f"{path}: {exc}")
+    row, col = min(found)
+    return FormatError(f"{path}:{lineno[row]}: {columns[col][1]} {str(cells[row, col])!r}")
+
+
+def counted_located(path, exc):
+    """What `_located` said when it counted lines on its own."""
+    cls = FormatError if exc.malformed else IntegrityError
+    with path.open() as fh:
+        filled = (lineno for lineno, line in enumerate(fh, 1) if line != "\n")
+        lineno = next(itertools.islice(filled, exc.row + 1, None))  # the header fills line 1
+    return cls(f"{path}:{lineno}: {exc}")
+
+
+#: Texts a fault puts in one cell that no loader parses, including cells that add a field.
+UNPARSABLE_CELLS = ["nope", "", "1e", "0x1", "é", "1.5.2", "1,5", "1,,"]
+
+#: Texts a fault puts in one cell that parse: values a validator rejects, and
+#: "1_0", which the plain conversion takes but np.loadtxt does not.
+PARSABLE_CELLS = ["-1", "2", "0", "nan", "inf", "77777777777777777777", "1_0", " "]
+
+#: Texts a fault puts in place of a whole line.
+BAD_LINES = ["x", "1", "1,2,3", " ", ",", "a,b", "\t"]
+
+
+@st.composite
+def faulty_csv(draw, faults=1, cells=UNPARSABLE_CELLS + PARSABLE_CELLS, repeats=True):
+    """(software, text, bad line numbers): a transition or software CSV with `faults` bad lines.
+
+    Empty lines fall anywhere after the header, lines end in LF or CRLF, and
+    the last one may lack its end. A fault puts one of `cells` in a cell,
+    replaces a line, or (with `repeats`) repeats the line before it, which
+    repeats a level or an index.
+    """
+    software = draw(st.booleans())
+    n = draw(st.integers(faults, 30))
+    rows = [[str(i), f"{1 + i / 100:.6f}"] if software else [f"{(i + 1) / 1000:.6f}", str((i + 1) % 2)]
+            for i in range(n)]
+    bad = draw(st.lists(st.integers(0, n - 1), min_size=faults, max_size=faults, unique=True))
+    for k in bad:
+        fault = draw(st.sampled_from(["cell", "line", "repeat"] if repeats and k else ["cell", "line"]))
+        if fault == "cell":
+            rows[k][draw(st.integers(0, 1))] = draw(st.sampled_from(cells))
+        elif fault == "line":
+            rows[k] = [draw(st.sampled_from(BAD_LINES))]
+        else:
+            rows[k] = list(rows[k - 1])
+    gaps = draw(st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1))  # empty lines
+    linenos = np.cumsum(np.add(gaps[:-1], 1)) + 1
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    header = capture.SOFTWARE_HEADER if software else capture.TRANSITION_HEADER
+    text = header + "".join(eol * (gap + 1) + ",".join(row) for gap, row in zip(gaps, rows))
+    text += eol * (gaps[-1] + draw(st.integers(0, 1)))
+    return software, text, sorted(int(linenos[k]) for k in bad)
+
+
+def load_error(text, software):
+    """The type and message of the error loading a file of `text`, or None if it loads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        path.write_bytes(text.encode())
+        try:
+            if software:
+                load_software_log(path, expected=1)
+            else:
+                load_transition_stream(path)
+        except ValueError as exc:
+            return type(exc), str(exc).removeprefix(str(path))
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_csv(), st.integers(1, 8))
+def test_one_bad_line_reads_as_the_whole_file_scan_read_it(case, block_rows):
+    software, text, _ = case
+    with mock.patch.object(capture, "_PARSE_CHUNK_ROWS", block_rows):  # cross block edges
+        got = load_error(text, software)
+    with mock.patch.object(capture, "_unparsable", whole_file_unparsable), \
+            mock.patch.object(capture, "_located", counted_located):
+        assert got == load_error(text, software)
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_csv(faults=3, cells=UNPARSABLE_CELLS, repeats=False), st.integers(1, 8))
+def test_the_first_bad_line_in_file_order_is_named(case, block_rows):
+    software, text, bad = case
+    with mock.patch.object(capture, "_PARSE_CHUNK_ROWS", block_rows):
+        assert load_error(text, software)[1].startswith(f":{bad[0]}: ")
+
+
+def test_a_bad_cell_before_a_wrong_field_count_is_named_first(tmp_path):
+    p = write(tmp_path, "t.csv", "time_s,level\n0.1,1\nx,0\n0.3,1,5\n")
+    with pytest.raises(FormatError, match=r"^.*t\.csv:3: bad time value 'x'$"):
+        load_transition_stream(p)
+
+
+def test_bytes_that_are_not_utf8_are_a_located_format_error(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"time_s,level\n0.1,1\n\n\xff\xfe,1\n")
+    with pytest.raises(FormatError, match=r"t\.csv:4: bad time value '\\udcff\\udcfe'"):
+        load_transition_stream(p)
+    p.write_bytes(b"time_s,level\xff\n0.1,1\n")
+    with pytest.raises(FormatError, match=r"t\.csv:1: expected header"):
+        load_transition_stream(p)
+
+
+def test_last_row_parse_error_holds_one_block(tmp_path):
+    n = 200_000
+    path = tmp_path / "s.csv"
+    _write_csv(path, capture.SOFTWARE_HEADER, (np.arange(n), np.ones(n)), (None, 6))
+    with path.open("a") as fh:
+        fh.write("nope,1.0\n")
+    with pytest.raises(FormatError, match=rf"s\.csv:{n + 2}: bad iteration index 'nope'"):
+        load_software_log(path, expected=n)
+    tracemalloc.start()
+    try:
+        error = capture._unparsable(path, capture._SOFTWARE_COLUMNS, ValueError())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(error) == f"{path}:{n + 2}: bad iteration index 'nope'"
+    assert peak < 2 * path.stat().st_size  # the whole-file scan held 20 times the file

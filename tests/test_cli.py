@@ -123,42 +123,67 @@ class TestAnalyzeExitCodes:
         assert "sample_period_s must be positive" in capsys.readouterr().err
 
 
-def _bad_metadata(**fields):
-    """argv analyzing a copy of trt_baseline_001 whose metadata has `fields` changed."""
-    def argv(corpora, tmp_path):
-        src = corpora / "base" / "trt_baseline_001"
-        dst = tmp_path / "bad_meta"
-        dst.mkdir()
-        for name in ("software.csv", "transitions.csv"):
-            (dst / name).write_text((src / name).read_text())
-        meta = json.loads((src / "metadata.json").read_text())
-        (dst / "metadata.json").write_text(json.dumps({**meta, **fields}))
-        return ["analyze", str(dst)]
-    return argv
+def _bad_file(name, edit, run="base/trt_baseline_001"):
+    """A case analyzing a copy of `run` whose file `name` holds edit(its bytes).
+
+    An `edit` of None puts a directory in the file's place. A case returns
+    the argv and the file that holds the fault, or None where no file does.
+    """
+    def case(corpora, tmp_path):
+        dst = tmp_path / "bad_run"
+        shutil.copytree(corpora / run, dst)
+        faulty = dst / name
+        raw = faulty.read_bytes()
+        faulty.unlink()
+        if edit is None:
+            faulty.mkdir()
+        else:
+            faulty.write_bytes(edit(raw))
+        return ["analyze", str(dst)], faulty
+    return case
+
+
+def _bad_metadata(run="base/trt_baseline_001", **fields):
+    """A case analyzing a copy of `run` whose metadata has `fields` changed."""
+    return _bad_file("metadata.json",
+                     lambda raw: json.dumps({**json.loads(raw), **fields}).encode(), run)
+
+
+def _out_is_a_file(corpora, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    return ["analyze", str(corpora / "base" / "trt_baseline_001"), "--out", str(taken)], taken
 
 
 #: Inputs that are wrong before any run is classified. Exit 2 and 3 name a
 #: validity class, so each of these must exit 1.
 BAD_INPUTS = {
-    "usage_error": lambda c, t: ["analyze", str(c / "base" / "trt_baseline_001"),
-                                 "--min-margn", "3"],
+    "usage_error": lambda c, t: (["analyze", str(c / "base" / "trt_baseline_001"),
+                                  "--min-margn", "3"], None),
     "non_numeric_metadata": _bad_metadata(marker_width_ms="wide"),
     "negative_metadata_threshold": _bad_metadata(marker_threshold_ms=-5.0),
-    "negative_threshold": lambda c, t: ["analyze", str(c / "base" / "trt_baseline_001"),
-                                        "--marker-threshold-ms", "-1"],
-    "zero_min_margin": lambda c, t: ["analyze", str(c / "base" / "trt_baseline_001"),
-                                     "--min-margin", "0"],
-    "mixed_conditions": lambda c, t: ["condition", str(c / "base" / "trt_baseline_001"),
-                                      str(c / "trio" / "storage_stress_002"),
-                                      "--out", str(t / "rep")],
+    "negative_threshold": lambda c, t: (["analyze", str(c / "base" / "trt_baseline_001"),
+                                         "--marker-threshold-ms", "-1"], None),
+    "zero_min_margin": lambda c, t: (["analyze", str(c / "base" / "trt_baseline_001"),
+                                      "--min-margin", "0"], None),
+    "mixed_conditions": lambda c, t: (["condition", str(c / "base" / "trt_baseline_001"),
+                                       str(c / "trio" / "storage_stress_002"),
+                                       "--out", str(t / "rep")], None),
     "fractional_iterations": _bad_metadata(iterations_expected=100.9),
     "boolean_warmup": _bad_metadata(warmup_iterations=True),
-    "mixed_architectures": lambda c, t: ["condition", str(c / "base" / "trt_baseline_001"),
-                                         str(c / "ort" / "ort_baseline_001"),
-                                         "--out", str(t / "rep")],
-    "baseline_of_another_architecture": lambda c, t: [
+    "mixed_architectures": lambda c, t: (["condition", str(c / "base" / "trt_baseline_001"),
+                                          str(c / "ort" / "ort_baseline_001"),
+                                          "--out", str(t / "rep")], None),
+    "baseline_of_another_architecture": lambda c, t: ([
         "condition", str(c / "base" / "trt_baseline_001"),
-        "--baseline", str(c / "ort" / "ort_baseline_001"), "--out", str(t / "rep")],
+        "--baseline", str(c / "ort" / "ort_baseline_001"), "--out", str(t / "rep")], None),
+    "metadata_not_json": _bad_file("metadata.json", lambda raw: raw[:-10]),
+    "metadata_a_number": _bad_file("metadata.json", lambda raw: b"5"),
+    # bool("false") is True: this class-B run would read as D / gpio_line_misobservation
+    "quoted_gpio_flag": _bad_metadata("trio/storage_stress_003", gpio_line_verified_absent="false"),
+    "non_utf8_csv_bytes": _bad_file("transitions.csv", lambda raw: raw + b"\xff\xfe,1\n"),
+    "directory_input": _bad_file("software.csv", None),
+    "out_names_a_file": _out_is_a_file,
 }
 
 
@@ -177,13 +202,13 @@ SCENARIO = {
 
 
 def _bad_scenario(**changes):
-    """argv synthesizing SCENARIO with top-level `changes` applied; None drops a key."""
-    def argv(corpora, tmp_path):
+    """A case synthesizing SCENARIO with top-level `changes` applied; None drops a key."""
+    def case(corpora, tmp_path):
         scenario = {**SCENARIO, **changes}
         spec = tmp_path / "scenario.json"
         spec.write_text(json.dumps({k: v for k, v in scenario.items() if v is not None}))
-        return ["synth", str(spec), "--out-dir", str(tmp_path / "out")]
-    return argv
+        return ["synth", str(spec), "--out-dir", str(tmp_path / "out")], spec
+    return case
 
 
 BAD_INPUTS.update({
@@ -193,19 +218,21 @@ BAD_INPUTS.update({
     "fractional_scenario_seed": _bad_scenario(master_seed=1.5),
     "scenario_meta_not_an_object": _bad_scenario(meta=[]),
     "zero_scenario_runs": _bad_scenario(n_runs=0),
+    "inapplicable_fault_key": _bad_scenario(fault={"kind": "marker_loss", "drop_fraction": 0.4}),
 })
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_one_with_one_error_line(case, corpora, tmp_path, capsys):
-    argv = BAD_INPUTS[case](corpora, tmp_path)
+    argv, faulty = BAD_INPUTS[case](corpora, tmp_path)
     rc = main(argv)
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 1
-    assert sum("error:" in line for line in err.splitlines()) == 1
-    assert "Traceback" not in err
-    if argv[0] == "synth":  # a scenario error names its file
-        assert argv[1] in err
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert "validity" not in captured.out
+    if faulty is not None:  # a fault in a file names that file
+        assert str(faulty) in captured.err
 
 
 class TestParserReuse:
@@ -366,10 +393,10 @@ class TestCondition:
 
 class TestSynthCommand:
     def test_missing_scenario_key_names_the_file_and_key(self, tmp_path, capsys):
-        argv = _bad_scenario(meta=None)(None, tmp_path)
+        argv, spec = _bad_scenario(meta=None)(None, tmp_path)
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {argv[1]}: missing scenario key 'meta'\n"
+        assert err == f"error: {spec}: missing scenario key 'meta'\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_preset_fails(self, tmp_path, capsys):

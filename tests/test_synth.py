@@ -70,6 +70,19 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(kind=FaultKind.MARKER_OVERLAP)
 
+    @pytest.mark.parametrize("kind", [k for k in FaultKind if k is not FaultKind.PARTIAL_LOSS])
+    def test_fraction_on_another_kind_rejected(self, kind):
+        # ground_truth.json would record a fraction that was never applied
+        width = 200.0 if kind is FaultKind.MARKER_OVERLAP else None
+        with pytest.raises(ValueError, match="drop_fraction applies to partial_loss only"):
+            FaultSpec(kind=kind, drop_fraction=0.4, marker_width_ms=width)
+
+    @pytest.mark.parametrize("kind", [k for k in FaultKind if k is not FaultKind.MARKER_OVERLAP])
+    def test_width_on_another_kind_rejected(self, kind):
+        fraction = 0.4 if kind is FaultKind.PARTIAL_LOSS else None
+        with pytest.raises(ValueError, match="marker_width_ms applies to marker_overlap only"):
+            FaultSpec(kind=kind, drop_fraction=fraction, marker_width_ms=200.0)
+
 
 class TestGenRun:
     def test_fault_free_structure(self):
